@@ -148,6 +148,11 @@ class TranscodeCluster:
             )
         self.sim = sim
         self.vcu_workers = list(vcu_workers)
+        # Each host's workers in fleet order, for the repair hand-back.
+        self._workers_by_host: Dict[VcuHost, List[VcuWorker]] = {}
+        for worker in self.vcu_workers:
+            if worker.host is not None:
+                self._workers_by_host.setdefault(worker.host, []).append(worker)
         self.cpu_workers = list(cpu_workers)
         if use_bin_packing:
             self.vcu_scheduler = BinPackingScheduler(self.vcu_workers)
@@ -187,7 +192,12 @@ class TranscodeCluster:
         #: notifications) replaces the per-placement fleet scan, and the
         #: throughput window stops retaining per-completion samples.
         #: Direct mutation of worker/host state from outside those APIs
-        #: must be followed by :meth:`note_availability_changed`.
+        #: must be followed by :meth:`note_availability_changed`.  The
+        #: failure sweep has the same contract in every mode: it visits
+        #: only hosts marked dirty, so device state changes only through
+        #: ``VcuTelemetry.record``/``reset`` and ``Vcu.disable``/``enable``
+        #: (which mark the device and its host), and host state through
+        #: writes of ``VcuHost.unusable``.
         self.fleet_mode = fleet_mode
         self.telemetry_mode = telemetry_mode
         self.stats = ClusterStats(
@@ -702,8 +712,8 @@ class TranscodeCluster:
 
     def on_host_repaired(self, host: VcuHost) -> None:
         """A repair finished: golden re-screen every worker it touched."""
-        for worker in self.vcu_workers:
-            if worker.host is host and worker.reset_after_repair():
+        for worker in self._workers_by_host.get(host, ()):
+            if worker.reset_after_repair():
                 self._spawn_rehab(worker)
         self._sync_host_availability(host)
         self._drain_pending()

@@ -13,9 +13,10 @@ the same "capacity" -- the mismatch the bin-packing scheduler fixes.
 Hot-path structure: both schedulers keep an *index* over the worker list
 so a placement probes candidates instead of scanning the whole fleet.
 The bin packer caches per-worker availability as one ``(n_workers,
-n_dims)`` array and computes the set of fitting workers with a handful
-of vectorized comparisons (replicating ``MultiResource.fits`` -- same
-epsilon, same missing-dimension rule); the single-slot model keeps a
+n_dims)`` array and finds fitting workers with a handful of vectorized
+comparisons per chunk of rows (replicating ``MultiResource.fits`` --
+same epsilon, same missing-dimension rule), stopping at the first chunk
+that yields an admit; the single-slot model keeps a
 sorted free list.  ``worker.try_admit`` stays authoritative: the index
 is a pre-filter, refreshed from worker ground truth on every admission
 and release the scheduler observes, so placements are identical to the
@@ -94,22 +95,30 @@ def _ordered_workers(
     return preferred + [w for w in workers if w.name not in chosen]
 
 
-class _ShapeCache:
-    """Per-request-shape placement state, valid for one batch.
+#: Rows per fit-mask chunk: first-fit scans compute the mask one chunk
+#: at a time from row 0 and stop at the first admit, so a placement
+#: touches the fleet only up to its first fitting worker.  Small enough
+#: that the common first fit (row 0 or 1) pays a few numpy calls on a
+#: short array; a fruitless scan of a 50k fleet is still ~200 chunks.
+FIT_CHUNK_ROWS = 256
 
-    ``mask``/``order`` are the fit mask and its candidate index list,
-    computed once per shape per batch.  ``dead`` collects indices whose
-    ``try_admit`` rejected this shape: within a batch, availability only
-    ever *decreases* (admits are observed, releases invalidate the whole
-    batch), so a resource rejection is permanent for the batch and the
-    scan never re-probes the worker.
+
+class _ShapeCache:
+    """Per-request-shape scan state, valid for one batch.
+
+    ``dead`` collects indices whose ``try_admit`` rejected this shape:
+    within a batch, availability only ever *decreases* (admits are
+    observed, releases invalidate the whole batch), so a resource
+    rejection -- like a row that no longer fits -- is permanent for the
+    batch and the scan never re-probes the worker.  ``cursor`` is the
+    first index not yet ruled out that way; the next scan of the shape
+    resumes there.  An unbatched placement scans with a fresh cache.
     """
 
-    __slots__ = ("mask", "order", "dead")
+    __slots__ = ("cursor", "dead")
 
-    def __init__(self, mask: np.ndarray):
-        self.mask = mask
-        self.order: List[int] = np.flatnonzero(mask).tolist()
+    def __init__(self):
+        self.cursor = 0
         self.dead: Set[int] = set()
 
 
@@ -233,9 +242,12 @@ class BinPackingScheduler:
         for index in range(len(self._workers)):
             self._refresh_row(index)
 
-    def _fit_mask(self, request: Dict[str, float]) -> np.ndarray:
-        """Elementwise replica of ``MultiResource.fits`` over all workers."""
-        mask = np.ones(len(self._workers), dtype=bool)
+    def _fit_mask(
+        self, request: Dict[str, float], start: int, stop: int
+    ) -> np.ndarray:
+        """Elementwise replica of ``MultiResource.fits`` over rows
+        ``start:stop``."""
+        mask = np.ones(stop - start, dtype=bool)
         for dim, amount in request.items():
             if amount <= 0:
                 continue
@@ -243,10 +255,10 @@ class BinPackingScheduler:
             if j is None:
                 # Dimension no indexed worker has: only resource-less
                 # workers can fit it (their try_admit decides).
-                mask &= self._unindexed
+                mask &= self._unindexed[start:stop]
                 continue
             epsilon = max(1e-9, 1e-9 * abs(amount))
-            mask &= self._avail[:, j] + epsilon >= amount
+            mask &= self._avail[start:stop, j] + epsilon >= amount
         return mask
 
     # ------------------------------------------------------------------ #
@@ -264,20 +276,21 @@ class BinPackingScheduler:
         it already failed on (Section 4.4's fault-correlation retries).
         ``preference`` front-loads the probe order (chunk affinity).
 
-        Inside a :meth:`batch` context the fit mask and candidate order
-        are cached per request shape and the fruitless full refresh runs
-        at most once per batch; decisions are identical to the unbatched
-        path (see the batch-amortization notes on :meth:`batch`).
+        Inside a :meth:`batch` context each request shape resumes its
+        scan where the previous one ruled workers out, and the fruitless
+        full refresh runs at most once per batch; decisions are identical
+        to the unbatched path (see the batch-amortization notes on
+        :meth:`batch`).
         """
         batch = self._batch
         if batch is None:
-            worker = self._place_indexed(request, excluded, preference)
+            worker = self._scan(_ShapeCache(), request, excluded, preference)
             if worker is None:
                 # The index can only miss a fitting worker if resources
                 # were released behind its back; re-sync and rescan
                 # before rejecting.
                 self._refresh_all_rows()
-                worker = self._place_indexed(request, excluded, preference)
+                worker = self._scan(_ShapeCache(), request, excluded, preference)
         else:
             worker = self._place_batched(batch, request, excluded, preference)
         if worker is not None:
@@ -291,17 +304,15 @@ class BinPackingScheduler:
     def batch(self) -> Iterator[None]:
         """Amortize a run of placements over shared per-shape caches.
 
-        Batch amortization is sound because every event that could make
-        a cached view *pessimistic* (miss a worker that actually fits)
+        Batch amortization is sound because every event that could
+        *raise* availability (make a ruled-out worker fit again)
         invalidates the cache: observed releases, worker add/remove, and
-        external :meth:`refresh` all clear it.  The remaining drift is
-        *optimistic* -- admits inside the batch shrink real availability
-        below the cached mask -- and ``try_admit`` stays authoritative,
-        so a stale candidate is probed once, rejected, and marked dead
-        for the rest of the batch (availability for a shape can only
-        keep shrinking until the next invalidation).  First-fit order is
-        untouched; the batch path returns exactly the worker the
-        unbatched path would.
+        external :meth:`refresh` all clear it.  Inside the batch admits
+        only shrink availability, so a worker that no longer fits a
+        shape, or whose ``try_admit`` rejected it, stays out for the rest
+        of the batch, and the shape's next scan resumes at the first
+        worker not ruled out.  First-fit order is untouched; the batch
+        path returns exactly the worker the unbatched path would.
 
         Nested ``batch()`` contexts join the outermost batch.
         """
@@ -320,7 +331,8 @@ class BinPackingScheduler:
         excluded: Set[str] = frozenset(),
         preference: Optional[Sequence[str]] = None,
     ) -> List[Optional[PlaceableWorker]]:
-        """Place an arrival batch in order; one vectorized scan per shape."""
+        """Place an arrival batch in order; each shape's scan resumes
+        where the previous one stopped."""
         with self.batch():
             return [
                 self.place(request, excluded, preference) for request in requests
@@ -336,9 +348,8 @@ class BinPackingScheduler:
         key = tuple(sorted(request.items()))
         entry = batch.shapes.get(key)
         if entry is None:
-            entry = _ShapeCache(self._fit_mask(request))
-            batch.shapes[key] = entry
-        worker = self._scan_shape(entry, request, excluded, preference)
+            entry = batch.shapes[key] = _ShapeCache()
+        worker = self._scan(entry, request, excluded, preference)
         if worker is None and not batch.refreshed:
             # Same recovery as the unbatched path, once per batch: an
             # unobserved release may have made rows pessimistic.
@@ -347,20 +358,20 @@ class BinPackingScheduler:
             # The refresh may have *raised* rows, so every cached shape
             # is suspect, not just this one.
             batch.shapes.clear()
-            entry = _ShapeCache(self._fit_mask(request))
-            batch.shapes[key] = entry
-            worker = self._scan_shape(entry, request, excluded, preference)
+            entry = batch.shapes[key] = _ShapeCache()
+            worker = self._scan(entry, request, excluded, preference)
         return worker
 
-    def _scan_shape(
+    def _scan(
         self,
         entry: _ShapeCache,
         request: Dict[str, float],
         excluded: Set[str],
         preference: Optional[Sequence[str]],
     ) -> Optional[PlaceableWorker]:
+        """First fit: the preferred names, then every row in index order
+        from ``entry.cursor``, a fit-mask chunk at a time."""
         workers = self._workers
-        mask = entry.mask
         dead = entry.dead
         preferred: Set[int] = set()
         if preference:
@@ -370,7 +381,7 @@ class BinPackingScheduler:
                 if index is None:
                     continue
                 preferred.add(index)
-                if index in dead or not mask[index]:
+                if index in dead or not self._fit_mask(request, index, index + 1)[0]:
                     continue
                 worker = workers[index]
                 if worker.name in excluded or not worker.available():
@@ -379,51 +390,36 @@ class BinPackingScheduler:
                     self._refresh_row(index)
                     return worker
                 dead.add(index)
-        for index in entry.order:
-            if index in dead or index in preferred:
-                continue
-            worker = workers[index]
-            if worker.name in excluded or not worker.available():
-                continue
-            if worker.try_admit(request):
-                self._refresh_row(index)
-                return worker
-            dead.add(index)
-        return None
-
-    def _place_indexed(
-        self,
-        request: Dict[str, float],
-        excluded: Set[str],
-        preference: Optional[Sequence[str]],
-    ) -> Optional[PlaceableWorker]:
-        mask = self._fit_mask(request)
-        preferred: Set[int] = set()
-        if preference:
-            by_name = self._by_name
-            for name in preference:
-                index = by_name.get(name)
-                if index is None:
+        # The cursor may pass rows that no longer fit and dead rows; it
+        # stops at the first row skipped for a per-call reason.
+        advancing = True
+        start = entry.cursor
+        count = len(workers)
+        while start < count:
+            stop = min(start + FIT_CHUNK_ROWS, count)
+            for index in np.flatnonzero(self._fit_mask(request, start, stop)).tolist():
+                index += start
+                if index in dead:
                     continue
-                preferred.add(index)
-                worker = self._workers[index]
+                worker = workers[index]
                 if (
-                    mask[index]
+                    index not in preferred
                     and worker.name not in excluded
                     and worker.available()
-                    and worker.try_admit(request)
                 ):
-                    self._refresh_row(index)
-                    return worker
-        for index in np.flatnonzero(mask).tolist():
-            if index in preferred:
-                continue
-            worker = self._workers[index]
-            if worker.name in excluded or not worker.available():
-                continue
-            if worker.try_admit(request):
-                self._refresh_row(index)
-                return worker
+                    if worker.try_admit(request):
+                        if advancing:
+                            entry.cursor = index
+                        self._refresh_row(index)
+                        return worker
+                    dead.add(index)
+                    continue
+                if advancing:
+                    entry.cursor = index
+                    advancing = False
+            start = stop
+        if advancing:
+            entry.cursor = count
         return None
 
     def place_scan(

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Generator, List, Optional, Sequence, TYPE_CHECKING
+from typing import (
+    Deque, Dict, Generator, List, Optional, Sequence, Set, TYPE_CHECKING,
+)
 
 from repro import obs
 from repro.sim.engine import Process, Simulator
 from repro.vcu.host import VcuHost
-from repro.vcu.telemetry import FaultKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import TranscodeCluster
@@ -70,13 +71,22 @@ class RepairQueue:
             # A repair swaps the faulty silicon: the replacement starts
             # with clean counters.  Without this, the next sweep re-reads
             # the old fault history and re-disables the fresh device.
-            vcu.telemetry.counters = {kind: 0 for kind in FaultKind}
-            vcu.telemetry.history.clear()
+            vcu.telemetry.reset()
         self.repaired.append(host)
 
 
 class FailureManager:
-    """Periodic telemetry sweeps across hosts, driving disables/repairs."""
+    """Event-driven telemetry sweeps across hosts, driving disables/repairs.
+
+    The manager watches its hosts (one manager per host: building a
+    second one over the same hosts moves the watch to it).  A host is
+    *dirty* from any change its sweep reads -- a device's telemetry
+    ``record``/``reset``, ``Vcu.disable``/``enable``, a write of
+    ``unusable`` -- until the next sweep visits it; a host the repair
+    cap refused stays dirty until it is enqueued.  Every host starts
+    dirty, so the first sweep also settles state from before the
+    manager existed.
+    """
 
     def __init__(
         self,
@@ -92,15 +102,34 @@ class FailureManager:
         #: ``None`` preserves the stricter behaviour: only unusable hosts
         #: enter the repair flow.
         self.card_swap_threshold = card_swap_threshold
+        self._index_of: Dict[VcuHost, int] = {}
+        for index, host in enumerate(self.hosts):
+            self._index_of[host] = index
+            host.on_dirty = self._note_dirty
+        self._dirty: Set[int] = set(range(len(self.hosts)))
+
+    def _note_dirty(self, host: VcuHost) -> None:
+        self._dirty.add(self._index_of[host])
 
     def sweep(self) -> List[str]:
-        """One pass over all hosts; returns newly-disabled VCU ids."""
+        """Visit the dirty hosts in fleet order, and each one's dirty
+        VCUs in host order; returns newly-disabled VCU ids.
+
+        Same result as polling every VCU of every host: a host nothing
+        has touched since its last visit has nothing left to disable and
+        is either healthy or already in the repair flow.
+        """
         newly_disabled: List[str] = []
-        for host in self.hosts:
+        refused: Set[int] = set()
+        for index in sorted(self._dirty):
+            host = self.hosts[index]
             for vcu in host.sweep_telemetry():
                 newly_disabled.append(vcu.vcu_id)
             if self._needs_repair(host) and not self.repair_queue.queued(host):
-                self.repair_queue.enqueue(host)
+                if not self.repair_queue.enqueue(host):
+                    refused.add(index)
+        # The visits' own disables re-marked their hosts; drop those.
+        self._dirty = refused
         self.disabled_vcus.extend(newly_disabled)
         return newly_disabled
 
@@ -109,8 +138,7 @@ class FailureManager:
             return True
         if self.card_swap_threshold is None:
             return False
-        disabled = sum(1 for vcu in host.vcus if vcu.disabled)
-        return disabled >= self.card_swap_threshold
+        return host.disabled_count >= self.card_swap_threshold
 
     def available_vcu_count(self) -> int:
         return sum(len(host.healthy_vcus()) for host in self.hosts)

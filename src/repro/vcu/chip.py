@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.sim.resources import MultiResource
@@ -194,6 +194,9 @@ class Vcu:
         #: Only a watchdog deadline (or a repair) gets the work back.
         self.hung = False
         self._completed_tasks = 0
+        #: Set by the owning host: called with this device after
+        #: ``disable``/``enable`` (its telemetry reports changes itself).
+        self.on_dirty: Optional[Callable[["Vcu"], None]] = None
 
     def try_admit(self, request: Dict[str, float]) -> bool:
         """Reserve a task's resource vector; False if it does not fit."""
@@ -244,12 +247,18 @@ class Vcu:
         self.hung = False
         self._device_event("clear_hang")
 
+    def _mark_dirty(self) -> None:
+        if self.on_dirty is not None:
+            self.on_dirty(self)
+
     def disable(self) -> None:
         self.disabled = True
+        self._mark_dirty()
         self._device_event("disable")
 
     def enable(self) -> None:
         self.disabled = False
         self.corrupt = False
         self.hung = False
+        self._mark_dirty()
         self._device_event("enable")

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.vcu.chip import Vcu
 from repro.vcu.spec import HostSpec, VcuSpec
+from repro.vcu.telemetry import VcuTelemetry
 
 
 class VcuCard:
@@ -45,10 +46,8 @@ class VcuTray:
         self.cards = [
             VcuCard(spec, host_spec) for _ in range(host_spec.cards_per_tray)
         ]
-
-    @property
-    def vcus(self) -> List[Vcu]:
-        return [vcu for card in self.cards for vcu in card.vcus]
+        # Topology is fixed after construction.
+        self.vcus: List[Vcu] = [vcu for card in self.cards for vcu in card.vcus]
 
 
 class VcuHost:
@@ -76,15 +75,61 @@ class VcuHost:
             VcuTray(self.spec, self.host_spec)
             for _ in range(self.host_spec.trays_per_host)
         ]
-        self.unusable = False
+        self.vcus: List[Vcu] = [vcu for tray in self.trays for vcu in tray.vcus]
+        self._slot_of: Dict[str, int] = {}
+        # Fault-sweep bookkeeping, fed by the devices' own dirty marks:
+        # bit ``slot`` set for each VCU changed since the last sweep, and
+        # for each disabled VCU.
+        self._dirty_bits = 0
+        self._disabled_bits = 0
+        # One shared callback per host, not one per device: a fleet has
+        # tens of thousands of devices.
+        on_vcu, on_telemetry = self._note_vcu_changed, self._note_telemetry_changed
+        for vcu in self.vcus:
+            vcu.on_dirty = on_vcu
+            vcu.telemetry.on_change = on_telemetry
+        #: Set by the :class:`~repro.failures.management.FailureManager`
+        #: watching this host: called with the host after every change
+        #: its sweep reads (a dirty device, ``unusable`` written).
+        self.on_dirty: Optional[Callable[["VcuHost"], None]] = None
+        self._unusable = False
         self.component_faults = 0
         #: Faults before the host is queued for repair (dozens of discrete
         #: components; a handful of hard faults takes it out).
         self.fault_budget = 6
 
     @property
-    def vcus(self) -> List[Vcu]:
-        return [vcu for tray in self.trays for vcu in tray.vcus]
+    def unusable(self) -> bool:
+        return self._unusable
+
+    @unusable.setter
+    def unusable(self, value: bool) -> None:
+        self._unusable = value
+        self._mark_dirty()
+
+    @property
+    def disabled_count(self) -> int:
+        """How many of this host's VCUs are disabled (no recount)."""
+        return self._disabled_bits.bit_count()
+
+    def _mark_dirty(self) -> None:
+        if self.on_dirty is not None:
+            self.on_dirty(self)
+
+    def _note_telemetry_changed(self, telemetry: VcuTelemetry) -> None:
+        for vcu in self.vcus:
+            if vcu.telemetry is telemetry:
+                self._note_vcu_changed(vcu)
+                return
+
+    def _note_vcu_changed(self, vcu: Vcu) -> None:
+        bit = 1 << self.vcus.index(vcu)
+        self._dirty_bits |= bit
+        if vcu.disabled:
+            self._disabled_bits |= bit
+        else:
+            self._disabled_bits &= ~bit
+        self._mark_dirty()
 
     def healthy_vcus(self) -> List[Vcu]:
         if self.unusable:
@@ -104,24 +149,38 @@ class VcuHost:
 
     def disable_vcu(self, vcu_id: str) -> None:
         """Disable one VCU (independent power rails make this possible)."""
-        for vcu in self.vcus:
-            if vcu.vcu_id == vcu_id:
-                vcu.disable()
-                return
-        raise KeyError(f"no VCU {vcu_id!r} on host {self.host_id}")
+        slot = self._slot_of.get(vcu_id)
+        if slot is None or self.vcus[slot].vcu_id != vcu_id:
+            # Built on first use and again after a VCU is renamed.
+            self._slot_of = {vcu.vcu_id: i for i, vcu in enumerate(self.vcus)}
+            slot = self._slot_of.get(vcu_id)
+        if slot is None:
+            raise KeyError(f"no VCU {vcu_id!r} on host {self.host_id}")
+        self.vcus[slot].disable()
 
     def sweep_telemetry(self) -> List[Vcu]:
         """Disable any VCU whose fault counters crossed a threshold.
 
+        Only VCUs marked dirty since the last sweep are checked, in host
+        order: a device untouched since its last check is either disabled
+        or under every threshold, so polling it could change nothing.
         Returns the VCUs disabled by this sweep (the host-level fault
         collection workflow of Section 4.4).
         """
         newly_disabled = []
-        for vcu in self.vcus:
-            if not vcu.disabled and vcu.telemetry.should_disable():
-                vcu.disable()
-                newly_disabled.append(vcu)
-                self.component_faults += 1
-        if self.component_faults >= self.fault_budget:
+        dirty = self._dirty_bits
+        if dirty:
+            for slot, vcu in enumerate(self.vcus):
+                if (
+                    dirty >> slot & 1
+                    and not vcu.disabled
+                    and vcu.telemetry.should_disable()
+                ):
+                    vcu.disable()
+                    newly_disabled.append(vcu)
+                    self.component_faults += 1
+            # Drops the marks this sweep's own disables just made.
+            self._dirty_bits = 0
+        if self.component_faults >= self.fault_budget and not self._unusable:
             self.unusable = True
         return newly_disabled

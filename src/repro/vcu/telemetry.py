@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 class FaultKind(enum.Enum):
@@ -40,7 +40,12 @@ DISABLE_THRESHOLDS: Dict[FaultKind, int] = {
 
 @dataclass
 class VcuTelemetry:
-    """Counters mirrored from device firmware."""
+    """Counters mirrored from device firmware.
+
+    ``record`` and ``reset`` are the only writers of the counters; each
+    calls ``on_change`` with this telemetry afterwards, which is how the
+    owning host marks the device dirty for the event-driven fault sweep.
+    """
 
     vcu_id: str
     temperature_c: float = 55.0
@@ -48,12 +53,25 @@ class VcuTelemetry:
         default_factory=lambda: {kind: 0 for kind in FaultKind}
     )
     history: List[Tuple[float, FaultKind]] = field(default_factory=list)
+    on_change: Optional[Callable[["VcuTelemetry"], None]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def record(self, kind: FaultKind, at_time: float = 0.0, count: int = 1) -> None:
         if count < 1:
             raise ValueError("count must be >= 1")
         self.counters[kind] += count
         self.history.append((at_time, kind))
+        if self.on_change is not None:
+            self.on_change(self)
+
+    def reset(self) -> None:
+        """Clear every counter and the history (fresh silicon)."""
+        for kind in self.counters:
+            self.counters[kind] = 0
+        self.history.clear()
+        if self.on_change is not None:
+            self.on_change(self)
 
     def should_disable(self) -> bool:
         """Whether accumulated faults cross any disable threshold."""

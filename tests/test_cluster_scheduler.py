@@ -1,9 +1,15 @@
 """Tests for bin-packing vs single-slot scheduling and pools."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.cluster.pool import Pool, PoolKey, Priority, UseCase, rebalance_pools
-from repro.cluster.scheduler import BinPackingScheduler, SingleSlotScheduler
+from repro.cluster.scheduler import (
+    FIT_CHUNK_ROWS,
+    BinPackingScheduler,
+    SingleSlotScheduler,
+)
 from repro.cluster.worker import VcuWorker
 from repro.sim.rng import make_rng
 from repro.vcu.chip import Vcu
@@ -174,6 +180,109 @@ class TestIndexedScanEquivalence:
                         trace.append(("place", worker.name))
                 traces.append(trace)
             assert traces[0] == traces[1]
+
+
+class TestChunkedScanEquivalence:
+    """``place`` against ``place_scan`` on a fleet of several fit-mask
+    chunks, inside and outside ``batch()``.
+
+    Each case sets up two identical fleets, then replays one random
+    place/release stream through both (placements batched a few at a
+    time in the batched variant) and compares the decisions.  The first
+    placement of every stream carries the case's exclusions or
+    preference and must land on the case's expected first fit."""
+
+    ROWS = 2 * FIT_CHUNK_ROWS + 300
+    FILL = {"milliencode": float(DEFAULT_VCU_SPEC.milliencode)}
+    SHAPES = TestIndexedScanEquivalence.REQUEST_SHAPES + [
+        {"milliencode": 6000.0, "millidecode": 1500.0},
+    ]
+
+    @staticmethod
+    def _fill(scheduler, workers, indices):
+        for index in indices:
+            assert workers[index].try_admit(TestChunkedScanEquivalence.FILL)
+        scheduler.refresh()
+
+    def _replay(self, place_attr, setup, batched, seed, steps=150):
+        workers = [
+            VcuWorker(Vcu(DEFAULT_VCU_SPEC, vcu_id=f"ch-vcu{i}"))
+            for i in range(self.ROWS)
+        ]
+        scheduler = BinPackingScheduler(workers)
+        excluded, preference = setup(scheduler, workers)
+        place = getattr(scheduler, place_attr)
+        rng = make_rng(seed)
+        in_flight, trace = [], []
+        done = 0
+        while done < steps:
+            with scheduler.batch() if batched else nullcontext():
+                for _ in range(int(rng.integers(1, 9))):
+                    done += 1
+                    if in_flight and rng.random() < 0.3:
+                        worker, request = in_flight.pop(
+                            int(rng.integers(len(in_flight))))
+                        scheduler.release(worker, request)
+                        trace.append(("release", worker.name))
+                        continue
+                    request = self.SHAPES[int(rng.integers(len(self.SHAPES)))]
+                    # Half the calls drop the exclusions and preference,
+                    # so rows one call skips must stay open to the next.
+                    if not trace or rng.random() < 0.5:
+                        worker = place(request, excluded=excluded,
+                                       preference=preference)
+                    else:
+                        worker = place(request)
+                    trace.append(("place", worker.name if worker else None))
+                    if worker is not None:
+                        in_flight.append((worker, request))
+        return trace
+
+    def _assert_equivalent(self, setup, first_fit):
+        for batched, seed in ((False, 5), (True, 55)):
+            scan = self._replay("place_scan", setup, batched, seed)
+            fast = self._replay("place", setup, batched, seed)
+            assert fast == scan
+            assert scan[0] == ("place", f"worker:ch-vcu{first_fit}")
+
+    def test_first_fit_beyond_the_first_chunk(self):
+        deep = FIT_CHUNK_ROWS + 7
+
+        def setup(scheduler, workers):
+            self._fill(scheduler, workers, range(deep))
+            return frozenset(), None
+
+        self._assert_equivalent(setup, first_fit=deep)
+
+    def test_exclusions_straddle_a_chunk_boundary(self):
+        edge = 2 * FIT_CHUNK_ROWS
+
+        def setup(scheduler, workers):
+            self._fill(scheduler, workers, range(edge - 3))
+            names = {w.name for w in workers[edge - 3:edge + 4]}
+            return names, None
+
+        self._assert_equivalent(setup, first_fit=edge + 4)
+
+    def test_preference_across_chunks(self):
+        def setup(scheduler, workers):
+            self._fill(scheduler, workers, [FIT_CHUNK_ROWS + 1, 3])
+            preference = [workers[i].name
+                          for i in (FIT_CHUNK_ROWS + 1, 2 * FIT_CHUNK_ROWS + 9, 3)]
+            return frozenset(), preference
+
+        self._assert_equivalent(setup, first_fit=2 * FIT_CHUNK_ROWS + 9)
+
+    def test_unobserved_release_forces_refresh_and_rescan(self):
+        free = [FIT_CHUNK_ROWS + 2, 2 * FIT_CHUNK_ROWS + 11, self.ROWS - 1]
+
+        def setup(scheduler, workers):
+            self._fill(scheduler, workers, range(self.ROWS))
+            for index in free:  # behind the index's back
+                workers[index].release(self.FILL)
+            return frozenset(), None
+
+        self._assert_equivalent(setup, first_fit=free[0])
 
 
 class TestPools:

@@ -1,15 +1,18 @@
 """Failure-management tests: injection, screening, black-holing, repair."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import CpuWorker, TranscodeCluster, VcuWorker
+from repro.cluster.health import HealthPolicy, HealthState
 from repro.failures import FailureManager, FaultInjector, RepairQueue
 from repro.failures.management import blast_radius
 from repro.sim import Simulator
 from repro.transcode import PopularityBucket, build_transcode_graph
 from repro.vcu.chip import Vcu
 from repro.vcu.host import VcuHost
-from repro.vcu.spec import DEFAULT_VCU_SPEC
+from repro.vcu.spec import DEFAULT_VCU_SPEC, HostSpec
 from repro.vcu.telemetry import FaultKind
 from repro.video.frame import resolution
 
@@ -212,3 +215,177 @@ class TestFleetManagement:
         assert manager.fleet_capacity_fraction() == 1.0
         hosts[0].vcus[0].disable()
         assert manager.fleet_capacity_fraction() == pytest.approx(0.95)
+
+
+# --------------------------------------------------------------------- #
+# Event-driven sweep vs the polling oracle
+
+
+def polling_sweep(manager):
+    """The polling ``FailureManager.sweep``: every VCU of every host.
+
+    Kept as the oracle for the event-driven sweep, which must return the
+    same ids in the same order and leave the same host and queue state.
+    """
+    newly_disabled = []
+    for host in manager.hosts:
+        for vcu in host.vcus:
+            if not vcu.disabled and vcu.telemetry.should_disable():
+                vcu.disable()
+                newly_disabled.append(vcu.vcu_id)
+                host.component_faults += 1
+        if host.component_faults >= host.fault_budget:
+            host.unusable = True
+        needs_repair = host.unusable or (
+            manager.card_swap_threshold is not None
+            and sum(1 for vcu in host.vcus if vcu.disabled)
+            >= manager.card_swap_threshold
+        )
+        if needs_repair and not manager.repair_queue.queued(host):
+            manager.repair_queue.enqueue(host)
+    manager.disabled_vcus.extend(newly_disabled)
+    return newly_disabled
+
+
+SWEEP_HOSTS = 3
+SWEEP_SLOTS = 4  # VCUs per host
+
+
+class SweepFleet:
+    """Small hosts, one health-machine worker per VCU, and a manager."""
+
+    def __init__(self, card_swap_threshold):
+        spec = HostSpec(vcus_per_card=2, cards_per_tray=2, trays_per_host=1)
+        self.hosts = [VcuHost(host_spec=spec, host_id=f"h{i}")
+                      for i in range(SWEEP_HOSTS)]
+        self.workers = [
+            [VcuWorker(vcu, host=host, golden_screening=False,
+                       health_policy=HealthPolicy(max_rescreen_failures=1))
+             for vcu in host.vcus]
+            for host in self.hosts
+        ]
+        self.manager = FailureManager(
+            self.hosts, repair_cap=1, card_swap_threshold=card_swap_threshold)
+        self.position = {vcu.vcu_id: (h, s)
+                         for h, host in enumerate(self.hosts)
+                         for s, vcu in enumerate(host.vcus)}
+
+    def apply(self, op):
+        name, h, s, value = op
+        host = self.hosts[h]
+        vcu, worker = host.vcus[s], self.workers[h][s]
+        if name == "record":
+            kind = (FaultKind.ECC_UNCORRECTABLE, FaultKind.RESET,
+                    FaultKind.PCIE)[value % 3]
+            vcu.telemetry.record(kind, count=1 + value // 3)
+        elif name == "reset":
+            vcu.telemetry.reset()
+        elif name == "health_disable":
+            # The worker health machine: quarantine, fail the golden
+            # battery, exhaust the re-screen budget -> DISABLED.
+            vcu.mark_corrupt()
+            worker.abort_and_quarantine()
+            if worker.health is HealthState.QUARANTINED:
+                worker.begin_rescreen()
+                worker.finish_rescreen()
+        elif name == "enable":
+            vcu.enable()
+            worker.reset_after_repair()
+        elif name == "component_fault":
+            host.record_component_fault()
+        elif name == "evict":
+            host.unusable = True
+        elif name == "repair":
+            queue = self.manager.repair_queue
+            queue.start_repairs()
+            if queue.in_repair:
+                queue.finish_repair(queue.in_repair[value % len(queue.in_repair)])
+
+    def state(self):
+        queue = self.manager.repair_queue
+        index = {host: h for h, host in enumerate(self.hosts)}
+        return (
+            [index[host] for host in queue.waiting],
+            [index[host] for host in queue.in_repair],
+            [index[host] for host in queue.repaired],
+            [(host.unusable, host.component_faults,
+              [(vcu.disabled, dict(vcu.telemetry.counters))
+               for vcu in host.vcus])
+             for host in self.hosts],
+        )
+
+
+sweep_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["record", "record", "reset", "health_disable",
+                             "enable", "enable", "component_fault", "evict",
+                             "repair", "repair"]),
+            st.integers(0, SWEEP_HOSTS - 1),
+            st.integers(0, SWEEP_SLOTS - 1),
+            st.integers(0, 8),
+        ),
+        st.just(("sweep", 0, 0, 0)),
+    ),
+    max_size=80,
+)
+
+
+class TestEventDrivenSweep:
+    @settings(max_examples=400, deadline=None)
+    @given(ops=sweep_ops, card_swap_threshold=st.sampled_from([None, 1, 2]))
+    def test_matches_polling_oracle(self, ops, card_swap_threshold):
+        fast, oracle = SweepFleet(card_swap_threshold), SweepFleet(card_swap_threshold)
+        for op in ops + [("sweep", 0, 0, 0)]:
+            if op[0] != "sweep":
+                fast.apply(op)
+                oracle.apply(op)
+                continue
+            got = [fast.position[v] for v in fast.manager.sweep()]
+            want = [oracle.position[v] for v in polling_sweep(oracle.manager)]
+            assert got == want
+            assert fast.state() == oracle.state()
+            for host in fast.hosts:
+                assert host.disabled_count == sum(v.disabled for v in host.vcus)
+
+    def test_re_enabled_vcu_is_swept_again(self):
+        fleet = SweepFleet(card_swap_threshold=None)
+        vcu = fleet.hosts[0].vcus[1]
+        vcu.telemetry.record(FaultKind.PCIE, count=3)
+        assert fleet.manager.sweep() == [vcu.vcu_id]
+        # Enabled without a counter reset: the old faults still count.
+        vcu.enable()
+        assert fleet.manager.sweep() == [vcu.vcu_id]
+        vcu.enable()
+        vcu.telemetry.reset()
+        assert fleet.manager.sweep() == []
+        assert not vcu.disabled
+
+    def test_host_refused_by_the_cap_is_enqueued_later(self):
+        fleet = SweepFleet(card_swap_threshold=1)
+        queue = fleet.manager.repair_queue
+        for host in fleet.hosts[:2]:
+            host.vcus[0].telemetry.record(FaultKind.PCIE, count=3)
+        fleet.manager.sweep()
+        assert list(queue.waiting) == [fleet.hosts[0]]
+        queue.start_repairs()
+        queue.finish_repair(fleet.hosts[0])
+        # Nothing touched host 1 since it was refused; it still enters.
+        fleet.manager.sweep()
+        assert list(queue.waiting) == [fleet.hosts[1]]
+
+    def test_only_touched_vcus_are_checked(self, monkeypatch):
+        fleet = SweepFleet(card_swap_threshold=None)
+        fleet.manager.sweep()
+        checked = []
+        original = type(fleet.hosts[0].vcus[0].telemetry).should_disable
+        monkeypatch.setattr(
+            type(fleet.hosts[0].vcus[0].telemetry), "should_disable",
+            lambda self: checked.append(self.vcu_id) or original(self),
+        )
+        target = fleet.hosts[2].vcus[3]
+        target.telemetry.record(FaultKind.RESET)
+        assert fleet.manager.sweep() == []
+        assert checked == [target.vcu_id]
+        assert fleet.manager.sweep() == []
+        assert checked == [target.vcu_id]
