@@ -19,7 +19,7 @@ from repro import perfbench
 from repro.sim import engine, reference
 from repro.cluster.scheduler import BinPackingScheduler
 from repro.cluster.worker import VcuWorker
-from repro.codec.encoder import Encoder
+from repro.codec.encoder import Encoder, StreamGroup
 from repro.codec.kernels import batch_transform_rd
 from repro.codec.profiles import PROFILES_BY_NAME
 from repro.codec.transform import transform_rd
@@ -57,6 +57,34 @@ class TestEncodeHotPath:
         # Loose floor for the tiny CI workload; the full harness
         # (repro-bench perf) demonstrates >= 3x at benchmark size.
         assert reference_s / fast_s > 2.0
+
+    @pytest.mark.parametrize("name", ["libx264", "vcu-vp9"])
+    def test_qp_ladder_group_beats_one_stream_encodes(self, benchmark, name):
+        # The RD sweep's shape: one source at five QPs.  Coding the ladder
+        # as one lockstep stream group must beat five one-stream encodes.
+        height, width, count = 64, 96, 2
+        frames = perfbench._synthetic_frames(height, width, count)
+        nominal = Resolution(
+            pixels=width * height, width=width, height=height, name="bench"
+        )
+        profile = PROFILES_BY_NAME[name]
+        qps = (20.0, 26.0, 32.0, 38.0, 44.0)
+
+        def ladder():
+            group = StreamGroup(profile, len(qps))
+            for i, data in enumerate(frames):
+                group.encode_frame(Frame(data, nominal, i), qps)
+
+        def one_stream_encodes():
+            encoders = [Encoder(profile) for _ in qps]
+            for i, data in enumerate(frames):
+                for encoder, qp in zip(encoders, qps):
+                    encoder.encode_frame(Frame(data, nominal, i), qp)
+
+        group_s = perfbench._best_of(3, ladder)
+        streams_s = perfbench._best_of(3, one_stream_encodes)
+        benchmark.pedantic(ladder, rounds=1, iterations=1, warmup_rounds=0)
+        assert streams_s / group_s > 1.3
 
 
 class TestSchedulerHotPath:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.codec.encoder import encode_video
+from repro.codec.encoder import encode_ladder
 from repro.codec.profiles import EncoderProfile
 from repro.metrics.quality import RDPoint
 from repro.video.frame import RawVideo
@@ -45,16 +45,15 @@ def rate_quality_curve(
     profile: EncoderProfile,
     qps: Sequence[float] = (18, 24, 30, 36, 42, 48),
 ) -> List[OperatingPoint]:
-    """Measure the per-video rate-quality curve by actually encoding."""
+    """Measure the per-video rate-quality curve by actually encoding
+    (the QP ladder as one stream group)."""
     if not qps:
         raise ValueError("need at least one QP")
-    points = []
-    for qp in sorted(qps):
-        chunk = encode_video(video, profile, qp=qp)
-        points.append(
-            OperatingPoint(qp=qp, rd=RDPoint(bitrate=chunk.bitrate_bps, psnr=chunk.psnr))
-        )
-    return points
+    ladder = sorted(qps)
+    return [
+        OperatingPoint(qp=qp, rd=RDPoint(bitrate=bitrate, psnr=psnr))
+        for qp, (bitrate, psnr) in zip(ladder, encode_ladder(video, profile, ladder))
+    ]
 
 
 def convex_hull_points(points: Sequence[OperatingPoint]) -> List[OperatingPoint]:

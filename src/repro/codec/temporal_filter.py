@@ -15,7 +15,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.codec.prediction import motion_search
+from repro.codec.prediction import SearchPlanes, motion_search
 
 #: Centre-weighted 3-tap kernel, matching the filter's emphasis on the
 #: frame being denoised.
@@ -58,6 +58,8 @@ def _filter_once(
 ) -> np.ndarray:
     height, width = centre.shape
     output = np.empty_like(centre)
+    prev_planes = SearchPlanes(prev_plane)
+    next_planes = SearchPlanes(next_plane)
     for y in range(0, height, block_size):
         for x in range(0, width, block_size):
             size_y = min(block_size, height - y)
@@ -73,9 +75,9 @@ def _filter_once(
             else:
                 block = centre[y : y + size_y, x : x + size_x]
                 aligned = [
-                    _aligned_block(block, prev_plane, y, x, size_y, search_range),
+                    _aligned_block(block, prev_planes, y, x, size_y, search_range),
                     block,
-                    _aligned_block(block, next_plane, y, x, size_y, search_range),
+                    _aligned_block(block, next_planes, y, x, size_y, search_range),
                 ]
             output[y : y + size_y, x : x + size_x] = sum(
                 w * a for w, a in zip(_WEIGHTS, aligned)
@@ -85,14 +87,15 @@ def _filter_once(
 
 def _aligned_block(
     block: np.ndarray,
-    neighbour: np.ndarray,
+    neighbour: SearchPlanes,
     y: int,
     x: int,
     size: int,
     search_range: int,
 ) -> np.ndarray:
     _, prediction, _ = motion_search(
-        block, neighbour, y, x, size, search_range=search_range, half_pel=False
+        block, neighbour.reference, y, x, size, search_range=search_range,
+        half_pel=False, planes=neighbour,
     )
     return prediction
 

@@ -12,10 +12,11 @@ from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from repro.codec.encoder import encode_video
+from repro.codec.encoder import encode_ladder
 from repro.codec.profiles import ALL_PROFILES, EncoderProfile
 from repro.metrics.quality import RDPoint, bd_rate
 from repro.video.content import SyntheticVideo
+from repro.video.frame import RawVideo
 from repro.video.vbench import VBENCH_SUITE, VbenchVideo
 
 #: QP ladder spanning the useful quality range (RD curves need >= 4 points).
@@ -31,14 +32,28 @@ def rd_curve(
     seed: int = 2,
 ) -> List[RDPoint]:
     """One encoder's operational RD curve for one title."""
-    video = SyntheticVideo(title.spec, seed=seed, proxy_height=proxy_height).video(
+    return video_rd_curve(
+        synthesize(title, frame_count, proxy_height, seed), profile, qps
+    )
+
+
+def synthesize(
+    title: VbenchVideo, frame_count: int, proxy_height: int, seed: int
+) -> RawVideo:
+    """The proxy clip every RD curve of ``title`` encodes."""
+    return SyntheticVideo(title.spec, seed=seed, proxy_height=proxy_height).video(
         frame_count
     )
-    points = []
-    for qp in qps:
-        chunk = encode_video(video, profile, qp=qp)
-        points.append(RDPoint(bitrate=chunk.bitrate_bps, psnr=chunk.psnr))
-    return points
+
+
+def video_rd_curve(
+    video: RawVideo, profile: EncoderProfile, qps: Sequence[float] = DEFAULT_QPS
+) -> List[RDPoint]:
+    """One encoder's RD curve for one clip: the QP ladder as one stream group."""
+    return [
+        RDPoint(bitrate=bitrate, psnr=psnr)
+        for bitrate, psnr in encode_ladder(video, profile, qps)
+    ]
 
 
 def suite_rd_curves(
@@ -52,11 +67,10 @@ def suite_rd_curves(
     """RD curves for every (title, profile): ``curves[title][profile]``."""
     curves: Dict[str, Dict[str, List[RDPoint]]] = {}
     for title in titles:
-        curves[title.name] = {}
-        for profile in profiles:
-            curves[title.name][profile.name] = rd_curve(
-                profile, title, frame_count, qps, proxy_height, seed
-            )
+        video = synthesize(title, frame_count, proxy_height, seed)
+        curves[title.name] = {
+            profile.name: video_rd_curve(video, profile, qps) for profile in profiles
+        }
     return curves
 
 

@@ -175,21 +175,18 @@ def _fig7_summarize(results: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
 )
 def fig7_unit(ctx: UnitContext) -> Dict[str, Any]:
     from repro.codec.profiles import ALL_PROFILES
-    from repro.harness.rd import rd_curve
+    from repro.harness.rd import synthesize, video_rd_curve
     from repro.metrics.quality import bd_rate
     from repro.video.vbench import vbench_video
 
     title = vbench_video(ctx.params["title"])
-    curves = {
-        profile.name: rd_curve(
-            profile,
-            title,
-            frame_count=ctx.params["frames"],
-            proxy_height=ctx.params["proxy_height"],
-            seed=ctx.params["encode_seed"],
-        )
-        for profile in ALL_PROFILES
-    }
+    video = synthesize(
+        title,
+        ctx.params["frames"],
+        ctx.params["proxy_height"],
+        ctx.params["encode_seed"],
+    )
+    curves = {profile.name: video_rd_curve(video, profile) for profile in ALL_PROFILES}
     bd_rates = {}
     for name in sorted(_FIG7_COMPARISONS):
         ref, test, _ = _FIG7_COMPARISONS[name]

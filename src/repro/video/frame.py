@@ -172,17 +172,31 @@ def psnr(reference: np.ndarray, test: np.ndarray, peak: float = 255.0) -> float:
     return 10.0 * np.log10(peak * peak / mse)
 
 
+class SequencePsnr:
+    """:func:`sequence_psnr` accumulated one frame at a time, so that a
+    caller can drop each decoded frame as soon as it is scored."""
+
+    def __init__(self) -> None:
+        self.total_se = 0.0
+        self.total_n = 0
+
+    def add(self, reference: Frame, test: np.ndarray) -> None:
+        diff = reference.data.astype(np.float64) - test.astype(np.float64)
+        self.total_se += float(np.sum(diff * diff))
+        self.total_n += diff.size
+
+    def psnr(self) -> float:
+        mse = self.total_se / self.total_n
+        if mse == 0:
+            return float("inf")
+        return 10.0 * np.log10(255.0 * 255.0 / mse)
+
+
 def sequence_psnr(reference: Sequence[Frame], test: Sequence[Frame]) -> float:
     """Mean-MSE PSNR across a frame sequence (the conventional definition)."""
     if len(reference) != len(test):
         raise ValueError("sequences differ in length")
-    total_se = 0.0
-    total_n = 0
+    total = SequencePsnr()
     for ref, out in zip(reference, test):
-        diff = ref.data.astype(np.float64) - out.data.astype(np.float64)
-        total_se += float(np.sum(diff * diff))
-        total_n += diff.size
-    mse = total_se / total_n
-    if mse == 0:
-        return float("inf")
-    return 10.0 * np.log10(255.0 * 255.0 / mse)
+        total.add(ref, out.data)
+    return total.psnr()

@@ -8,6 +8,7 @@ from repro.codec.encoder import Encoder, encode_video
 from repro.codec.profiles import ALL_PROFILES, LIBVPX, LIBX264, VCU_H264, VCU_VP9, profile
 from repro.codec.temporal_filter import build_altref, temporal_filter
 from repro.video.content import ContentSpec, SyntheticVideo
+from repro.video.frame import Frame, Resolution
 
 
 class TestEncoderBasics:
@@ -50,6 +51,19 @@ class TestEncoderBasics:
     def test_bad_keyframe_interval(self):
         with pytest.raises(ValueError):
             Encoder(LIBX264, keyframe_interval=0)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_frame_shape_change_rejected(self, fast):
+        nominal = Resolution(pixels=96 * 64, width=96, height=64, name="shape")
+        encoder = Encoder(LIBX264, fast=fast)
+        encoder.encode_frame(Frame(np.full((64, 96), 128.0), nominal, 0), qp=32)
+        with pytest.raises(ValueError, match="shape"):
+            encoder.encode_frame(Frame(np.full((48, 80), 128.0), nominal, 1), qp=32)
+        # A keyframe after reset() may start a new shape.
+        encoder.reset()
+        assert encoder.encode_frame(
+            Frame(np.full((48, 80), 128.0), nominal, 0), qp=32
+        ).frame_type == "key"
 
 
 class TestRDBehaviour:

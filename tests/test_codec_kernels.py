@@ -100,6 +100,21 @@ class TestBatchedKernels:
             assert np.array_equal(reconstructed[i], ref_recon)
             assert float(distortions[i]) == ref_dist
 
+    @pytest.mark.parametrize("size", [4, 8])
+    def test_batch_transform_rd_per_block_qp_vector(self, size):
+        # One QP per block (the lockstep encoder's QP ladder): each row
+        # equals both scalar transforms at its own QP.
+        rng = np.random.default_rng(size + 20)
+        qps = [0.0, 20.0, 26, 29.5, 44.0, 51.0, 26]
+        stack = rng.uniform(-255, 255, (len(qps), size, size))
+        levels, reconstructed, distortions = batch_transform_rd(stack, qps)
+        for i, qp in enumerate(qps):
+            for scalar in (transform_rd_single, transform_rd):
+                ref_levels, ref_recon, ref_dist = scalar(stack[i], qp)
+                assert np.array_equal(levels[i], ref_levels)
+                assert np.array_equal(reconstructed[i], ref_recon)
+                assert float(distortions[i]) == ref_dist
+
     def test_transform_rd_single_matches_reference(self):
         rng = np.random.default_rng(9)
         for qp in (8.0, 30.0, 48.0):
