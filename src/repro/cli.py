@@ -1,18 +1,16 @@
 """Command-line interface: run the paper's experiments from a shell.
 
-``repro-bench <command>`` (or ``python -m repro.cli <command>``) exposes
-the fast analytic experiments directly; the full benchmark suite stays in
-``pytest benchmarks/``.
+``repro-bench <command>`` (or ``python -m repro.cli <command>``).  Every
+registered paper table, figure and scenario runs through ``run`` -- one
+path per result, e.g. ``repro-bench run --only table1-throughput``; the
+full benchmark suite stays in ``pytest benchmarks/``.
 
 Commands:
-    table1      Table 1 throughput + perf/TCO rows
-    table2      Table 2 host-resource rows
     balance     Appendix A network & DRAM sizing
-    bdrate      BD-rate sweep on a title subset (real encodes; slow-ish)
-    timeline    Figure 9a/9c deployment-timeline replay
     live        Section 4.5 live-latency comparison
     gaming      Section 4.5 Stadia frame-budget check
     report      render a fleet report from a JSONL trace dump
+    perf        hot-path perf harness (fast vs reference paths)
     run         sharded deterministic experiment runner (repro.runner)
     lint        simulation-safety static analyzer (repro.analysis)
 
@@ -25,53 +23,6 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import List, Optional
-
-
-def _cmd_table1(args: argparse.Namespace) -> None:
-    from repro.baselines import GpuSystem, SkylakeSystem
-    from repro.metrics import format_table
-    from repro.tco import SKYLAKE_COST, T4_SYSTEM_COST, VCU_SYSTEM_8, VCU_SYSTEM_20, perf_per_tco
-    from repro.vcu.spec import DEFAULT_VCU_SPEC
-    from repro.vcu.throughput import vbench_sot_system_throughput
-
-    cpu, gpu = SkylakeSystem(), GpuSystem()
-    rows = []
-    for name, cost, get in (
-        ("Skylake", SKYLAKE_COST, lambda c: cpu.machine_throughput(c)),
-        ("4xNvidia T4", T4_SYSTEM_COST,
-         lambda c: gpu.machine_throughput(c) if gpu.supports(c) else None),
-        ("8xVCU", VCU_SYSTEM_8,
-         lambda c: vbench_sot_system_throughput(DEFAULT_VCU_SPEC, c, 8)),
-        ("20xVCU", VCU_SYSTEM_20,
-         lambda c: vbench_sot_system_throughput(DEFAULT_VCU_SPEC, c, 20)),
-    ):
-        row = [name]
-        for codec in ("h264", "vp9"):
-            throughput = get(codec)
-            if throughput is None:
-                row += ["-", "-"]
-            else:
-                base = cpu.machine_throughput(codec)
-                row += [round(throughput), round(perf_per_tco(throughput, cost, base), 1)]
-        rows.append(row)
-    print(format_table(
-        ["System", "H.264 Mpix/s", "H.264 perf/TCO", "VP9 Mpix/s", "VP9 perf/TCO"],
-        rows, title="Table 1 (offline two-pass SOT)",
-    ))
-
-
-def _cmd_table2(args: argparse.Namespace) -> None:
-    from repro.balance import host_resource_table
-    from repro.metrics import format_table
-
-    rows = [
-        [r.use, round(r.logical_cores, 1), round(r.dram_bandwidth_gbps)]
-        for r in host_resource_table(args.gpix)
-    ]
-    print(format_table(
-        ["Use", "Logical cores", "DRAM Gbps"], rows,
-        title=f"Table 2 at {args.gpix:g} Gpixel/s",
-    ))
 
 
 def _cmd_balance(args: argparse.Namespace) -> None:
@@ -97,41 +48,6 @@ def _cmd_balance(args: argparse.Namespace) -> None:
         print(f"  {mode.value}: needs {req.required_gib:.0f} GiB, "
               f"8 GiB/VCU provides {req.provided_gib_8g:.0f} GiB "
               f"(fits: {req.fits_8gib}; 4 GiB would fit: {req.fits_4gib})")
-
-
-def _cmd_bdrate(args: argparse.Namespace) -> None:
-    from repro.harness.rd import suite_bd_rates, suite_rd_curves
-    from repro.metrics import format_table
-    from repro.video.vbench import vbench_video
-
-    titles = [vbench_video(name) for name in args.titles.split(",")]
-    curves = suite_rd_curves(
-        titles=titles, frame_count=args.frames, proxy_height=args.proxy_height
-    )
-    summary = suite_bd_rates(curves)
-    print(format_table(
-        ["Comparison", "BD-rate %", "Paper"],
-        [
-            ["VCU-VP9 vs libx264", round(summary.vcu_vp9_vs_libx264, 1), "~-30"],
-            ["VCU-H264 vs libx264", round(summary.vcu_h264_vs_libx264, 1), "~+11.5"],
-            ["VCU-VP9 vs libvpx", round(summary.vcu_vp9_vs_libvpx, 1), "~+18"],
-        ],
-        title=f"BD-rates on: {args.titles}",
-    ))
-
-
-def _cmd_timeline(args: argparse.Namespace) -> None:
-    from repro.cluster.timeline import run_timeline
-    from repro.metrics import format_table
-
-    results = run_timeline(args.months, seed=args.seed, horizon_seconds=args.horizon)
-    base = results[0].throughput_mpix_s or 1.0
-    print(format_table(
-        ["Month", "Normalized throughput", "Decoder util", "VCU workers"],
-        [[r.month, round(r.throughput_mpix_s / base, 2),
-          round(r.decoder_utilization, 2), r.vcu_workers] for r in results],
-        title="Figure 9a/9c deployment timeline",
-    ))
 
 
 def _cmd_live(args: argparse.Namespace) -> None:
@@ -219,52 +135,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(render_stats(result.stats))
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
-
-
-def _cmd_platform(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.control.scenario import ScenarioConfig, run_global_platform_day
-
-    config = ScenarioConfig(
-        day_seconds=args.day_seconds,
-        outage=not args.no_outage,
-        failure_rate=args.failure_rate,
-    )
-    result = run_global_platform_day(config, seed=args.seed)
-    if args.json:
-        print(json.dumps(result.scorecard, indent=2, sort_keys=True))
-    else:
-        print(f"global platform day: {config.day_seconds:g} s, "
-              f"outage={'on' if config.outage else 'off'}, seed={args.seed}")
-        for key, value in result.scorecard.items():
-            print(f"  {key:32s} {value}")
-    if args.ledger:
-        result.plane.ledger.write_jsonl(args.ledger)
-        print(f"wrote {args.ledger}", file=sys.stderr)
-    return 0 if result.scorecard["conservation.ok"] else 1
-
-
-def _cmd_ladder(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.control.live_ladder import LiveLadderConfig, run_live_ladder
-
-    config = LiveLadderConfig(
-        horizon_seconds=args.horizon_seconds,
-        outage=not args.no_outage,
-        hang_rate_per_hour=args.hang_rate,
-        corruption_rate_per_hour=args.corruption_rate,
-    )
-    result = run_live_ladder(config, seed=args.seed)
-    if args.json:
-        print(json.dumps(result.scorecard, indent=2, sort_keys=True))
-    else:
-        print(f"live ladder: {config.horizon_seconds:g} s, "
-              f"outage={'on' if config.outage else 'off'}, seed={args.seed}")
-        for key, value in result.scorecard.items():
-            print(f"  {key:32s} {value}")
-    return 0 if result.scorecard["conservation.ok"] else 1
 
 
 def _changed_python_targets(root: object, base: str) -> Optional[List[str]]:
@@ -365,29 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("table1", help="Table 1 throughput & perf/TCO").set_defaults(
-        func=_cmd_table1
-    )
-
-    table2 = sub.add_parser("table2", help="Table 2 host resources")
-    table2.add_argument("--gpix", type=float, default=153.0)
-    table2.set_defaults(func=_cmd_table2)
-
     sub.add_parser("balance", help="Appendix A balance analysis").set_defaults(
         func=_cmd_balance
     )
-
-    bdrate = sub.add_parser("bdrate", help="BD-rate sweep (real encodes)")
-    bdrate.add_argument("--titles", default="desktop,house,holi")
-    bdrate.add_argument("--frames", type=int, default=6)
-    bdrate.add_argument("--proxy-height", type=int, default=54)
-    bdrate.set_defaults(func=_cmd_bdrate)
-
-    timeline = sub.add_parser("timeline", help="Figure 9 deployment replay")
-    timeline.add_argument("--months", type=int, default=12)
-    timeline.add_argument("--seed", type=int, default=5)
-    timeline.add_argument("--horizon", type=float, default=60.0)
-    timeline.set_defaults(func=_cmd_timeline)
 
     live = sub.add_parser("live", help="live-latency comparison")
     live.add_argument("--duration", type=float, default=120.0)
@@ -441,41 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", action="store_true",
                      help="print the manifest JSON instead of markdown")
     run.set_defaults(func=_cmd_run)
-
-    platform = sub.add_parser(
-        "platform",
-        help="global-platform-day control-plane scenario (SLO scorecard)",
-    )
-    platform.add_argument("--day-seconds", type=float, default=3600.0,
-                          help="length of the compressed diurnal cycle")
-    platform.add_argument("--seed", type=int, default=11)
-    platform.add_argument("--no-outage", action="store_true",
-                          help="run the control arm (no regional outage)")
-    platform.add_argument("--failure-rate", type=float, default=0.02,
-                          help="per-attempt execution fault probability")
-    platform.add_argument("--json", action="store_true",
-                          help="print the scorecard as JSON")
-    platform.add_argument("--ledger", default=None, metavar="FILE",
-                          help="also dump the job transition log as JSONL")
-    platform.set_defaults(func=_cmd_platform)
-
-    ladder = sub.add_parser(
-        "ladder",
-        help="live streaming-ladder scenario (time-to-first-segment "
-             "latency scorecard)",
-    )
-    ladder.add_argument("--horizon-seconds", type=float, default=480.0,
-                        help="virtual seconds of demand to generate")
-    ladder.add_argument("--seed", type=int, default=13)
-    ladder.add_argument("--no-outage", action="store_true",
-                        help="skip the mid-run regional outage")
-    ladder.add_argument("--hang-rate", type=float, default=0.0,
-                        help="VCU hangs per VCU-hour")
-    ladder.add_argument("--corruption-rate", type=float, default=0.0,
-                        help="VCU corruptions per VCU-hour")
-    ladder.add_argument("--json", action="store_true",
-                        help="print the scorecard as JSON")
-    ladder.set_defaults(func=_cmd_ladder)
 
     lint = sub.add_parser(
         "lint", help="simulation-safety static analyzer (repro.analysis)"

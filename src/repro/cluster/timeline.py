@@ -3,8 +3,8 @@
 Each month after launch is one cluster-simulation configuration: how much
 of the workload has migrated to VCUs, whether the NUMA-aware scheduling
 fix has rolled out, and how aggressively hardware decode is shifted back
-to the host CPU.  Running the months in sequence replays the paper's
-longitudinal charts:
+to the host CPU.  Running the months in sequence (the ``tuning-timeline``
+experiment) replays the paper's longitudinal charts:
 
 * 9a -- chunked upload workload throughput: 50% on VCU at launch, 100% by
   month 7, with software-stack fixes compounding on top.
@@ -156,24 +156,6 @@ def run_month(
         encoder_utilization=cluster.encoder_util.average(end),
         vcu_workers=worker_count,
     )
-
-
-def run_timeline(
-    months: int = 12,
-    seed: SeedLike = 0,
-    base_vcu_workers: int = 6,
-    horizon_seconds: float = 120.0,
-) -> List[MonthResult]:
-    """Run the whole timeline with a fixed per-month workload seed."""
-    return [
-        run_month(
-            config,
-            base_vcu_workers=base_vcu_workers,
-            horizon_seconds=horizon_seconds,
-            seed=seed,
-        )
-        for config in default_timeline(months)
-    ]
 
 
 def live_adoption_curve(months: int = 12, saturation: float = 4.0) -> List[float]:

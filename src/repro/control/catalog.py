@@ -6,7 +6,8 @@ demand-mix disturbances -- lives here as one declarative catalog.  Each
 entry names a registered runner experiment (grids, seeds, schema
 fields, source modules) so ``repro-bench run`` and CI consume the same
 single source of truth, and :func:`scorecard_keys` dispatches to the
-right scenario module's static key set for the smoke-gate diffs.
+right scenario module's static key set for the smoke-gate diffs -- for
+the four catalog entries and for ``platform-day`` and ``live-ladder``.
 
 This module is deliberately import-light (the registry contract: a
 cache-hot ``repro-bench run`` never touches the cluster simulator); the
@@ -17,21 +18,11 @@ the key dispatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Any, Dict, List, Tuple
 
 #: Bump when any catalog entry's grid/seed/schema contract changes.
 CATALOG_VERSION = 1
-
-# --------------------------------------------------------------------- #
-# Figure 9 replay settings: the single source of truth shared by
-# runner/experiments.py, benchmarks/test_fig9_scaling.py, and the
-# tuning-timeline experiment below (they used to duplicate these under
-# "must match" comments).
-
-FIG9_MONTHS = 12
-FIG9_SEED = 5
-FIG9_HORIZON_SECONDS = 80.0
-FIG9_BASE_VCU_WORKERS = 6
 
 # --------------------------------------------------------------------- #
 # Canary firmware rollout (Section 5's deployment discipline).
@@ -56,8 +47,12 @@ CHAOS_SMOKE_SWEEP: Tuple[Tuple[int, int], ...] = ((2, 1), (5, 4))
 # --------------------------------------------------------------------- #
 # Figure 9/10 tuning timeline (16 months of launch-and-iterate).
 
-TIMELINE_SEED = FIG9_SEED
+TIMELINE_SEED = 5
 TIMELINE_MONTHS = 16
+TIMELINE_HORIZON_SECONDS = 80.0
+TIMELINE_BASE_VCU_WORKERS = 6
+#: Figure 9 plots the timeline's first year.
+FIG9_MONTHS = 12
 TIMELINE_SMOKE_MONTHS: Tuple[int, ...] = (1, 8, 16)
 TIMELINE_SMOKE_HORIZON_SECONDS = 40.0
 #: Nominal VCU-vs-software bitrate gap at launch (Figure 10's month-0
@@ -102,13 +97,15 @@ def chaos_grid(smoke: bool = False) -> List[Dict[str, Any]]:
 
 def timeline_grid(smoke: bool = False) -> List[Dict[str, Any]]:
     months = TIMELINE_SMOKE_MONTHS if smoke else range(1, TIMELINE_MONTHS + 1)
-    horizon = TIMELINE_SMOKE_HORIZON_SECONDS if smoke else FIG9_HORIZON_SECONDS
+    horizon = (
+        TIMELINE_SMOKE_HORIZON_SECONDS if smoke else TIMELINE_HORIZON_SECONDS
+    )
     return [
         {
             "month": month,
             "workload_seed": TIMELINE_SEED,
             "horizon_seconds": horizon,
-            "base_vcu_workers": FIG9_BASE_VCU_WORKERS,
+            "base_vcu_workers": TIMELINE_BASE_VCU_WORKERS,
         }
         for month in months
     ]
@@ -271,25 +268,30 @@ def catalog_names() -> Tuple[str, ...]:
     return tuple(entry.name for entry in CATALOG)
 
 
+#: Every experiment whose units carry a scorecard, mapped to the module
+#: and function that declare its static key set.
+_SCORECARD_KEYS: Dict[str, Tuple[str, str]] = {
+    "canary-rollout": ("repro.control.canary", "scorecard_keys"),
+    "chaos-campaign": ("repro.control.chaos", "scorecard_keys"),
+    "live-ladder": ("repro.control.live_ladder", "scorecard_keys"),
+    "platform-day": ("repro.control.scenario", "scorecard_keys"),
+    "surge-mix": ("repro.control.surge", "scorecard_keys"),
+    "tuning-timeline": (__name__, "timeline_scorecard_keys"),
+}
+
+
 def scorecard_keys(name: str) -> Tuple[str, ...]:
-    """The static scorecard key set for one catalog experiment.
+    """The static scorecard key set for one scorecard experiment.
 
     Lazy dispatch: resolving a key set must not import the heavy
     scenario modules until a gate actually asks for it.
     """
-    if name == "canary-rollout":
-        from repro.control.canary import scorecard_keys as keys
-
-        return keys()
-    if name == "chaos-campaign":
-        from repro.control.chaos import scorecard_keys as keys
-
-        return keys()
-    if name == "tuning-timeline":
-        return timeline_scorecard_keys()
-    if name == "surge-mix":
-        from repro.control.surge import scorecard_keys as keys
-
-        return keys()
-    known = ", ".join(catalog_names())
-    raise KeyError(f"unknown catalog experiment {name!r}; known: {known}")
+    try:
+        module, function = _SCORECARD_KEYS[name]
+    except KeyError:
+        known = ", ".join(sorted(_SCORECARD_KEYS))
+        raise KeyError(
+            f"no scorecard experiment {name!r}; known: {known}"
+        ) from None
+    keys: Tuple[str, ...] = getattr(import_module(module), function)()
+    return keys

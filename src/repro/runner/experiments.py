@@ -18,12 +18,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence
 
 from repro.control import catalog
-from repro.control.catalog import (  # re-exported: the shared Figure 9
-    FIG9_BASE_VCU_WORKERS,  # settings live in the catalog now, one copy
-    FIG9_HORIZON_SECONDS,  # for this module, the timeline experiment,
-    FIG9_MONTHS,  # and benchmarks/test_fig9_scaling.py
-    FIG9_SEED,
-)
 from repro.runner.registry import ExperimentRegistry, ResultSchema, UnitContext
 
 _DEFAULT = ExperimentRegistry()
@@ -202,75 +196,6 @@ def fig7_unit(ctx: UnitContext) -> Dict[str, Any]:
             for profile, points in sorted(curves.items())
         },
         "bd_rates": bd_rates,
-    }
-
-
-# --------------------------------------------------------------------- #
-# Figure 9 -- post-launch deployment-timeline replay
-
-
-def _fig9_summarize(results: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    ordered = sorted(results, key=lambda r: r["month"])
-    base = ordered[0]["throughput_mpix_s"] or 1.0
-    return [
-        {
-            "month": r["month"],
-            "normalized_throughput": round(r["throughput_mpix_s"] / base, 3),
-            "decoder_util": r["decoder_util"],
-            "encoder_util": r["encoder_util"],
-            "vcu_workers": r["vcu_workers"],
-            "paper_note": "~10x by month 12; decoder util ~0.98 -> ~0.91",
-        }
-        for r in ordered
-    ]
-
-
-@_DEFAULT.experiment(
-    name="fig9-timeline",
-    title="Figure 9 — post-launch workload scaling (12-month replay)",
-    grid=[
-        {
-            "month": month,
-            "workload_seed": FIG9_SEED,
-            "horizon_seconds": FIG9_HORIZON_SECONDS,
-            "base_vcu_workers": FIG9_BASE_VCU_WORKERS,
-        }
-        for month in range(1, FIG9_MONTHS + 1)
-    ],
-    smoke_grid=[
-        {
-            "month": month,
-            "workload_seed": FIG9_SEED,
-            "horizon_seconds": 40.0,
-            "base_vcu_workers": FIG9_BASE_VCU_WORKERS,
-        }
-        for month in (1, 6, 12)
-    ],
-    seed=FIG9_SEED,
-    schema=ResultSchema(version=1, fields=(
-        "month", "throughput_mpix_s", "total_megapixels",
-        "decoder_util", "encoder_util", "vcu_workers",
-    )),
-    summarize=_fig9_summarize,
-)
-def fig9_unit(ctx: UnitContext) -> Dict[str, Any]:
-    from repro.cluster.timeline import default_timeline, run_month
-
-    month = ctx.params["month"]
-    config = default_timeline(month)[-1]
-    result = run_month(
-        config,
-        base_vcu_workers=ctx.params["base_vcu_workers"],
-        horizon_seconds=ctx.params["horizon_seconds"],
-        seed=ctx.params["workload_seed"],
-    )
-    return {
-        "month": result.month,
-        "throughput_mpix_s": round(result.throughput_mpix_s, 4),
-        "total_megapixels": round(result.total_megapixels, 3),
-        "decoder_util": round(result.decoder_utilization, 5),
-        "encoder_util": round(result.encoder_utilization, 5),
-        "vcu_workers": result.vcu_workers,
     }
 
 
@@ -555,13 +480,19 @@ def chaos_campaign_unit(ctx: UnitContext) -> Dict[str, Any]:
 def _timeline_summarize(
     results: Sequence[Dict[str, Any]]
 ) -> List[Dict[str, Any]]:
+    # Figure 9 reads months 1-12 of these rows: 9a's throughput
+    # normalized to the first month, and 9c's decoder utilization.
     rows: List[Dict[str, Any]] = []
-    for result in sorted(results, key=lambda r: r["month"]):
+    ordered = sorted(results, key=lambda r: r["month"])
+    base = ordered[0]["scorecard"]["throughput_mpix_s"] or 1.0
+    for result in ordered:
         card = result["scorecard"]
         rows.append({
             "month": result["month"],
             "throughput_mpix_s": card["throughput_mpix_s"],
+            "normalized_throughput": round(card["throughput_mpix_s"] / base, 3),
             "vcu_workers": card["vcu_workers"],
+            "decoder_util": card["decoder_util"],
             "encoder_util": card["encoder_util"],
             "bitrate_vs_sw_h264": card["bitrate_vs_software.h264"],
             "bitrate_vs_sw_vp9": card["bitrate_vs_software.vp9"],

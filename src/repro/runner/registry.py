@@ -190,10 +190,11 @@ class ExperimentRegistry:
         self, names: Sequence[str] = (), group: Optional[str] = None
     ) -> List[Experiment]:
         """Experiments by name (all of them, name-sorted, when empty);
-        ``group`` restricts the empty-names case to one family."""
+        ``group`` restricts the empty-names case to one family.  A name
+        given twice selects its experiment once, at its first position."""
         if not names:
             return [self._experiments[name] for name in self.names(group)]
-        return [self.get(name) for name in names]
+        return [self.get(name) for name in dict.fromkeys(names)]
 
     def __contains__(self, name: str) -> bool:
         return name in self._experiments

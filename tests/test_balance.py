@@ -95,6 +95,11 @@ class TestHostResources:
         half = host_resource_table(76.5)[-1]
         assert half.logical_cores == pytest.approx(27.5, rel=0.01)
 
+    def test_table2_scales_to_306_gpix(self):
+        double = host_resource_table(306.0)[-1]
+        assert double.use == "Total"
+        assert round(double.logical_cores) == 110  # 2x the 55-core total
+
     def test_headroom_about_half_the_host(self):
         # Appendix A.3: the scaled values are about half of what the
         # target host system provides.

@@ -11,6 +11,9 @@ reviewed change -- update the golden *and* bump the scenario's
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.control import catalog
@@ -118,6 +121,26 @@ class TestGoldenScorecardKeys:
     def test_keys_match_golden(self, name):
         assert catalog.scorecard_keys(name) == GOLDEN_KEYS[name]
 
+    def test_dispatch_covers_platform_day_and_live_ladder(self):
+        from repro.control import live_ladder, scenario
+
+        assert (catalog.scorecard_keys("platform-day")
+                == scenario.scorecard_keys())
+        assert (catalog.scorecard_keys("live-ladder")
+                == live_ladder.scorecard_keys())
+
+    def test_unknown_name_raises_key_error(self):
+        with pytest.raises(KeyError, match="table1-throughput"):
+            catalog.scorecard_keys("table1-throughput")
+
+    def test_catalog_import_stays_numpy_free(self):
+        code = (
+            "import sys\n"
+            "import repro.control.catalog\n"
+            "assert 'numpy' not in sys.modules, 'numpy leaked into the catalog'\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
 
 class TestSmokeRuns:
     @pytest.fixture(scope="class")
@@ -162,6 +185,20 @@ class TestSmokeRuns:
             for result in run.results
         ]
         assert months == list(catalog.TIMELINE_SMOKE_MONTHS)
+
+    def test_timeline_summary_carries_figure9_columns(self, smoke_runs):
+        (run,) = [r for r in smoke_runs
+                  if r.experiment.name == "tuning-timeline"]
+        rows = run.experiment.summary_rows(run.results)
+        assert rows[0]["month"] == 1
+        assert rows[0]["normalized_throughput"] == 1.0
+        for row, result in zip(rows, run.results):
+            card = result["scorecard"]
+            assert row["decoder_util"] == card["decoder_util"]
+            assert row["normalized_throughput"] == pytest.approx(
+                card["throughput_mpix_s"] / rows[0]["throughput_mpix_s"],
+                abs=5e-4,
+            )
 
     def test_manifest_byte_identical_across_jobs(self, smoke_runs):
         serial = manifest_text(build_manifest(smoke_runs))

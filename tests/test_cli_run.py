@@ -54,6 +54,15 @@ class TestRunSubcommand:
         out = capsys.readouterr().out
         assert out == (workdir / "manifest.json").read_text()
 
+    def test_experiment_named_twice_runs_once(self, workdir, capsys):
+        rc = main(["run", EXPERIMENT, "--only", EXPERIMENT, "--no-cache",
+                   "--out", "manifest.json"])
+        assert rc == 0
+        manifest = json.loads((workdir / "manifest.json").read_text())
+        assert list(manifest["experiments"]) == [EXPERIMENT]
+        assert len(manifest["experiments"][EXPERIMENT]["units"]) == 1
+        assert "experiments 1, units 1" in capsys.readouterr().out
+
     def test_unknown_experiment_is_rc2(self, workdir, capsys):
         assert main(["run", "no-such-experiment"]) == 2
         err = capsys.readouterr().err

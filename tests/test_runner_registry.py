@@ -130,6 +130,12 @@ class TestRegistry:
         assert registry.select() == [exp]
         assert registry.select(["toy"]) == [exp]
 
+    def test_select_dedupes_in_first_seen_order(self):
+        registry = ExperimentRegistry()
+        alpha = registry.add(make_experiment(name="alpha"))
+        zeta = registry.add(make_experiment(name="zeta"))
+        assert registry.select(["zeta", "alpha", "zeta"]) == [zeta, alpha]
+
     def test_duplicate_names_rejected(self):
         registry = ExperimentRegistry()
         registry.add(make_experiment())

@@ -58,18 +58,6 @@ class TestSsim:
 
 
 class TestCli:
-    def test_table1(self, capsys):
-        assert main(["table1"]) == 0
-        out = capsys.readouterr().out
-        assert "20xVCU" in out
-        assert "14,931" in out
-
-    def test_table2_scales(self, capsys):
-        assert main(["table2", "--gpix", "306"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 2 at 306" in out
-        assert "110" in out  # 2x the 55-core total
-
     def test_balance(self, capsys):
         assert main(["balance"]) == 0
         out = capsys.readouterr().out
@@ -85,11 +73,6 @@ class TestCli:
         assert main(["live", "--duration", "30"]) == 0
         out = capsys.readouterr().out
         assert "software" in out and "VCU" in out
-
-    def test_timeline_short(self, capsys):
-        assert main(["timeline", "--months", "2", "--horizon", "20"]) == 0
-        out = capsys.readouterr().out
-        assert "Month" in out
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):

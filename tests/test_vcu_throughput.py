@@ -24,6 +24,15 @@ class TestTable1Anchors:
         ours = vbench_sot_system_throughput(SPEC, codec, vcus)
         assert ours == pytest.approx(paper, rel=0.01)
 
+    def test_table1_experiment_unit_reads_the_system_row(self):
+        from repro.runner.experiments import table1_unit
+        from repro.runner.registry import UnitContext
+
+        params = {"system": "20xVCU", "codec": "h264"}
+        row = table1_unit(UnitContext("table1-throughput", 0, params, seed=0))
+        assert round(row["mpix_s"]) == 14931
+        assert row["paper_mpix_s"] == 14932.0
+
     def test_offline_sot_is_encoder_limited(self):
         breakdown = sot_throughput(SPEC, "h264", OFFLINE, resolution("1080p"))
         assert breakdown.binding_constraint == "encoder"
