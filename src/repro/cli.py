@@ -24,6 +24,9 @@ import argparse
 import sys
 from typing import List, Optional
 
+#: Where ``run`` writes its manifest by default: the committed full sweep.
+_DEFAULT_MANIFEST = "BENCH_PR10.json"
+
 
 def _cmd_balance(args: argparse.Namespace) -> None:
     from repro.balance import (
@@ -127,13 +130,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"run: {exc.args[0]}", file=sys.stderr)
         return 2
     manifest = build_manifest(result.runs)
-    write_manifest(args.out, manifest)
+    # The default path holds the committed full sweep; a selection or a
+    # smoke run written there would silently replace it with a subset.
+    partial_default = bool(names or args.smoke) and args.out == _DEFAULT_MANIFEST
+    if not partial_default:
+        write_manifest(args.out, manifest)
     if args.json:
         print(manifest_text(manifest), end="")
     else:
         print(render_markdown(manifest))
         print(render_stats(result.stats))
-    print(f"wrote {args.out}", file=sys.stderr)
+    if partial_default:
+        print(f"not written: {args.out} is kept for the full sweep; "
+              "pass --out to save a selection or --smoke run",
+              file=sys.stderr)
+    else:
+        print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
 
@@ -286,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="recompute every unit, bypassing the cache")
     run.add_argument("--smoke", action="store_true",
                      help="reduced grids for a quick CI signal")
-    run.add_argument("--out", default="BENCH_PR10.json",
-                     help="where to write the manifest")
+    run.add_argument("--out", default=_DEFAULT_MANIFEST,
+                     help="where to write the manifest; only a full, "
+                          "non-smoke run writes the default")
     run.add_argument("--json", action="store_true",
                      help="print the manifest JSON instead of markdown")
     run.set_defaults(func=_cmd_run)

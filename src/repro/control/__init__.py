@@ -16,20 +16,23 @@ is that layer for the simulated fleet:
   routing with failover/spill accounting and outage drains.
 * :mod:`repro.control.plane` -- the :class:`ControlPlane` service tying
   it together over pluggable executors.
+* :mod:`repro.control.scorecard` -- the pieces every scenario scorecard
+  shares (job totals, per-class SLO fields, the cluster-counter table,
+  key sets, the drift check, the arrival loop).
 * :mod:`repro.control.scenario` -- the flagship "global platform day"
-  scenario and its SLO scorecard.
+  scenario, its SLO scorecard, and the one day-run path.
 * :mod:`repro.control.streaming` -- the segment-streaming executor that
   turns LIVE/UPLOAD jobs into ladder stream sessions.
 * :mod:`repro.control.live_ladder` -- the "live ladder" scenario and its
   time-to-first-segment latency scorecard.
 * :mod:`repro.control.catalog` -- the scenario catalog: grids, seeds,
-  and scorecard-key dispatch for every deployment-narrative experiment.
+  and scorecard-key dispatch for every scorecard experiment.
 * :mod:`repro.control.canary` -- the firmware canary-rollout scenario
   (stage, detect regression from scorecards, roll back or promote).
 * :mod:`repro.control.chaos` -- the correlated-outage chaos campaign
   (blast radius x repair capacity on a fleet-mode cluster).
 * :mod:`repro.control.surge` -- popularity-surge / live-mix-shift
-  demand disturbances over the platform-day machinery.
+  demand disturbances: platform days with the outage off.
 
 Re-exports resolve lazily (PEP 562): ``repro.control.catalog`` is
 import-light by contract (a cache-hot ``repro-bench run`` expands grids
@@ -80,10 +83,10 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis aid only
     )
     from repro.control.streaming import StreamingExecutor
 
-# name -> defining submodule; repro.control.live_ladder's own
+# name -> defining submodule; every other scenario module's own
 # ``scorecard_keys``/``build_scorecard`` are intentionally NOT
 # re-exported here (the names belong to the flagship scenario), and the
-# canary/chaos/surge/catalog scenario APIs are module-scoped by design:
+# canary/chaos/surge/catalog/scorecard APIs are module-scoped by design:
 # import them from their modules directly.
 _EXPORTS = {
     "AdmissionConfig": "admission",

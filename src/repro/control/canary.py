@@ -35,6 +35,14 @@ from repro.cluster.worker import CpuWorker, VcuWorker
 from repro.control.jobs import JobRequest, RetryPolicy, SloClass
 from repro.control.live_ladder import stable_host
 from repro.control.plane import ClusterExecutor, ControlPlane, make_sites
+from repro.control.scorecard import (
+    cluster_fields,
+    finish,
+    grouped,
+    job_totals,
+    key_set,
+    schedule_arrivals,
+)
 from repro.failures.injector import FaultInjector
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedLike, split_rng
@@ -137,10 +145,7 @@ _GLOBAL_FIELDS = (
 
 def scorecard_keys() -> Tuple[str, ...]:
     """The exact, sorted key set every canary scorecard carries."""
-    keys = list(_GLOBAL_FIELDS)
-    for name in _SLICES:
-        keys.extend(f"slice.{name}.{field}" for field in _PER_SLICE_FIELDS)
-    return tuple(sorted(keys))
+    return key_set(_GLOBAL_FIELDS, grouped("slice", _SLICES, _PER_SLICE_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -276,23 +281,19 @@ def build_scorecard(
     verdict: Dict[str, Any],
 ) -> Dict[str, Any]:
     """The flat rollout scorecard, keys sorted, values rounded."""
-    card: Dict[str, Any] = {"schema_version": SCORECARD_VERSION}
-    counts = plane.class_counts()
-    totals = {"submitted": 0, "done": 0, "failed": 0, "shed": 0}
-    for cls in SloClass:
-        for key in totals:
-            totals[key] += counts[cls.label][key]
-    card["jobs.submitted"] = totals["submitted"]
-    card["jobs.done"] = totals["done"]
-    card["jobs.failed"] = totals["failed"]
-    card["jobs.shed"] = totals["shed"]
-    card["rollout.candidate"] = rollout.candidate.version
-    card["rollout.stage"] = rollout.stage.value
-    card["rollout.regression_detected"] = bool(verdict["regression"])
-    card["rollout.rolled_back"] = rollout.stage is RolloutStage.ROLLED_BACK
-    card["rollout.promoted"] = rollout.stage is RolloutStage.PROMOTED
-    card["delta.throughput_frac"] = round(float(verdict["throughput_frac"]), 6)
-    card["delta.unhealthy_frac"] = round(float(verdict["unhealthy_delta"]), 6)
+    stats = cluster.stats
+    card: Dict[str, Any] = {
+        "schema_version": SCORECARD_VERSION,
+        **job_totals(plane),
+        **cluster_fields(stats, _GLOBAL_FIELDS),
+        "rollout.candidate": rollout.candidate.version,
+        "rollout.stage": rollout.stage.value,
+        "rollout.regression_detected": bool(verdict["regression"]),
+        "rollout.rolled_back": rollout.stage is RolloutStage.ROLLED_BACK,
+        "rollout.promoted": rollout.stage is RolloutStage.PROMOTED,
+        "delta.throughput_frac": round(float(verdict["throughput_frac"]), 6),
+        "delta.unhealthy_frac": round(float(verdict["unhealthy_delta"]), 6),
+    }
     for name in _SLICES:
         card[f"slice.{name}.vcus"] = verdict[f"{name}_vcus"]
         card[f"slice.{name}.mpix_per_vcu_s"] = round(
@@ -301,21 +302,11 @@ def build_scorecard(
         card[f"slice.{name}.unhealthy_frac"] = round(
             float(verdict[f"{name}_unhealthy"]), 6
         )
-    stats = cluster.stats
-    card["cluster.completed_graphs"] = stats.completed_graphs
-    card["cluster.retries"] = stats.retries
-    card["cluster.hangs"] = stats.hangs_detected
-    card["cluster.corrupt_caught"] = stats.corrupt_caught
-    card["cluster.workers_quarantined"] = stats.workers_quarantined
-    card["cluster.workers_rehabilitated"] = stats.workers_rehabilitated
-    card["cluster.software_fallbacks"] = stats.software_fallbacks
     card["conservation.ok"] = bool(
         plane.ledger.conservation_report()["ok"]
-        and stats.completed_graphs == totals["done"]
+        and stats.completed_graphs == card["jobs.done"]
     )
-    if tuple(sorted(card)) != scorecard_keys():
-        raise RuntimeError("scorecard keys drifted from scorecard_keys()")
-    return dict(sorted(card.items()))
+    return finish(card, scorecard_keys())
 
 
 def run_canary_rollout(
@@ -351,11 +342,7 @@ def run_canary_rollout(
         seed=seed,
     )
     requests = _demand(config)
-    for request in requests:
-        sim.call_at(
-            request.arrival_time,
-            lambda r=request: plane.submit(r),
-        )
+    schedule_arrivals(sim, plane, requests)
 
     canary_ids = [vcu.vcu_id for host in canary_hosts for vcu in host.vcus]
     baseline_ids = [vcu.vcu_id for host in baseline_hosts for vcu in host.vcus]

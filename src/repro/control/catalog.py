@@ -2,12 +2,13 @@
 
 The paper's Section 5 story -- canary firmware rollouts, correlated
 outages under capped repair, sixteen months of post-launch tuning, and
-demand-mix disturbances -- lives here as one declarative catalog.  Each
-entry names a registered runner experiment (grids, seeds, schema
-fields, source modules) so ``repro-bench run`` and CI consume the same
-single source of truth, and :func:`scorecard_keys` dispatches to the
-right scenario module's static key set for the smoke-gate diffs -- for
-the four catalog entries and for ``platform-day`` and ``live-ladder``.
+demand-mix disturbances -- lives here as the grids and seeds of four
+registered runner experiments (their titles, schemas and sources are
+registered in :mod:`repro.runner.experiments`), so ``repro-bench run``
+and CI consume the same numbers.  :func:`scorecard_keys` dispatches to
+the right scenario module's static key set for the smoke-gate diffs --
+for the four catalog experiments and for ``platform-day`` and
+``live-ladder`` (:func:`scorecard_experiments`).
 
 This module is deliberately import-light (the registry contract: a
 cache-hot ``repro-bench run`` never touches the cluster simulator); the
@@ -17,12 +18,10 @@ the key dispatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import import_module
 from typing import Any, Dict, List, Tuple
 
-#: Bump when any catalog entry's grid/seed/schema contract changes.
-CATALOG_VERSION = 1
+from repro.control.scorecard import finish, key_set
 
 # --------------------------------------------------------------------- #
 # Canary firmware rollout (Section 5's deployment discipline).
@@ -148,7 +147,7 @@ _TIMELINE_FIELDS: Tuple[str, ...] = (
 
 def timeline_scorecard_keys() -> Tuple[str, ...]:
     """The exact, sorted key set every timeline scorecard carries."""
-    return tuple(sorted(_TIMELINE_FIELDS))
+    return key_set(_TIMELINE_FIELDS)
 
 
 def bitrate_vs_software_pct(codec: str, month: float) -> float:
@@ -206,58 +205,11 @@ def run_tuning_month(
         ),
         "milestones_shipped": len(milestones_through(month)),
     }
-    if tuple(sorted(card)) != timeline_scorecard_keys():
-        raise RuntimeError("scorecard keys drifted from timeline_scorecard_keys()")
-    return dict(sorted(card.items()))
+    return finish(card, timeline_scorecard_keys())
 
 
 # --------------------------------------------------------------------- #
 # The catalog itself.
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One registered scenario experiment's declarative contract."""
-
-    name: str
-    title: str
-    seed: int
-    #: The unit-result keys beyond "scorecard" (the arm parameters).
-    arm_fields: Tuple[str, ...]
-    #: Dotted modules fingerprinting the experiment's code for the cache.
-    sources: Tuple[str, ...]
-
-
-CATALOG: Tuple[CatalogEntry, ...] = (
-    CatalogEntry(
-        name="canary-rollout",
-        title="Firmware canary rollout — regression detection and rollback",
-        seed=CANARY_SEED,
-        arm_fields=("candidate",),
-        sources=("repro.control.canary",),
-    ),
-    CatalogEntry(
-        name="chaos-campaign",
-        title="Correlated-outage chaos campaign — blast radius × repair capacity",
-        seed=CHAOS_SEED,
-        arm_fields=("blast_hosts", "repair_cap"),
-        sources=("repro.control.chaos",),
-    ),
-    CatalogEntry(
-        name="tuning-timeline",
-        title="Figures 9/10 — 16-month launch-and-iterate tuning timeline",
-        seed=TIMELINE_SEED,
-        arm_fields=("month",),
-        sources=("repro.control.catalog",),
-    ),
-    CatalogEntry(
-        name="surge-mix",
-        title="Demand disturbances — popularity surge and live mix shift",
-        seed=SURGE_SEED,
-        arm_fields=("scenario",),
-        sources=("repro.control.surge",),
-    ),
-)
 
 #: The registry group every catalog experiment is registered under.
 CATALOG_GROUP = "catalog"
@@ -265,7 +217,7 @@ CATALOG_GROUP = "catalog"
 
 def catalog_names() -> Tuple[str, ...]:
     """Every catalog experiment name, in declaration order."""
-    return tuple(entry.name for entry in CATALOG)
+    return ("canary-rollout", "chaos-campaign", "tuning-timeline", "surge-mix")
 
 
 #: Every experiment whose units carry a scorecard, mapped to the module
@@ -280,6 +232,11 @@ _SCORECARD_KEYS: Dict[str, Tuple[str, str]] = {
 }
 
 
+def scorecard_experiments() -> Tuple[str, ...]:
+    """Every experiment whose units carry a scorecard, sorted."""
+    return tuple(sorted(_SCORECARD_KEYS))
+
+
 def scorecard_keys(name: str) -> Tuple[str, ...]:
     """The static scorecard key set for one scorecard experiment.
 
@@ -289,7 +246,7 @@ def scorecard_keys(name: str) -> Tuple[str, ...]:
     try:
         module, function = _SCORECARD_KEYS[name]
     except KeyError:
-        known = ", ".join(sorted(_SCORECARD_KEYS))
+        known = ", ".join(scorecard_experiments())
         raise KeyError(
             f"no scorecard experiment {name!r}; known: {known}"
         ) from None

@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Tuple
 from repro.cluster.cluster import TranscodeCluster
 from repro.cluster.worker import CpuWorker, VcuWorker
 from repro.control.live_ladder import stable_host
+from repro.control.scorecard import cluster_fields, finish, key_set
 from repro.failures.injector import FaultInjector
 from repro.failures.management import FailureManager, FailureSweeper
 from repro.sim.engine import Simulator
@@ -59,7 +60,7 @@ _GLOBAL_FIELDS: Tuple[str, ...] = (
 
 def scorecard_keys() -> Tuple[str, ...]:
     """The exact, sorted key set every campaign scorecard carries."""
-    return tuple(sorted(_GLOBAL_FIELDS))
+    return key_set(_GLOBAL_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -156,13 +157,7 @@ def build_scorecard(
         "jobs.submitted": submitted,
         "jobs.completed": stats.completed_graphs,
         "steps.completed": stats.completed_steps,
-        "cluster.retries": stats.retries,
-        "cluster.hangs": stats.hangs_detected,
-        "cluster.corrupt_caught": stats.corrupt_caught,
-        "cluster.software_fallbacks": stats.software_fallbacks,
-        "cluster.workers_quarantined": stats.workers_quarantined,
-        "cluster.workers_rehabilitated": stats.workers_rehabilitated,
-        "cluster.host_evictions": stats.host_evictions,
+        **cluster_fields(stats, _GLOBAL_FIELDS),
         "fleet.vcus": len(workers),
         "fleet.available_end": available,
         "fleet.disabled_by_sweeps": len(manager.disabled_vcus),
@@ -173,9 +168,7 @@ def build_scorecard(
         "availability.exact": bool(cluster.healthy_vcu_count() == available),
         "conservation.ok": bool(submitted == stats.completed_graphs),
     }
-    if tuple(sorted(card)) != scorecard_keys():
-        raise RuntimeError("scorecard keys drifted from scorecard_keys()")
-    return dict(sorted(card.items()))
+    return finish(card, scorecard_keys())
 
 
 def run_chaos_campaign(

@@ -28,6 +28,15 @@ from repro.cluster.cluster import TranscodeCluster
 from repro.cluster.worker import CpuWorker, VcuWorker
 from repro.control.jobs import JobRequest, RetryPolicy, SloClass
 from repro.control.plane import ControlPlane, make_sites
+from repro.control.scorecard import (
+    class_fields,
+    cluster_fields,
+    finish,
+    grouped,
+    job_totals,
+    key_set,
+    schedule_arrivals,
+)
 from repro.control.streaming import StreamingExecutor
 from repro.failures.injector import FaultInjector
 from repro.obs.latency import LadderMetrics
@@ -47,8 +56,9 @@ DEFAULT_RUNGS: Tuple[str, ...] = tuple(
     r.name for r in output_ladder(resolution("1080p"))
 )
 
-_CLASSES = ("live", "upload")
+_CLASSES = (SloClass.LIVE, SloClass.UPLOAD)
 _PER_CLASS_FIELDS = ("submitted", "done", "shed", "queue_p50", "queue_p99")
+_RUNG_FIELDS = ("queue_p50", "queue_p99")
 _GLOBAL_FIELDS = (
     "schema_version",
     "jobs.submitted", "jobs.done", "jobs.failed", "jobs.shed",
@@ -67,13 +77,11 @@ _GLOBAL_FIELDS = (
 
 def scorecard_keys(rungs: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
     """The exact, sorted key set every live-ladder scorecard carries."""
-    keys = list(_GLOBAL_FIELDS)
-    for label in _CLASSES:
-        keys.extend(f"class.{label}.{f}" for f in _PER_CLASS_FIELDS)
-    for rung in (DEFAULT_RUNGS if rungs is None else tuple(rungs)):
-        keys.append(f"rung.{rung}.queue_p50")
-        keys.append(f"rung.{rung}.queue_p99")
-    return tuple(sorted(keys))
+    return key_set(
+        _GLOBAL_FIELDS,
+        grouped("class", (cls.label for cls in _CLASSES), _PER_CLASS_FIELDS),
+        grouped("rung", DEFAULT_RUNGS if rungs is None else rungs, _RUNG_FIELDS),
+    )
 
 
 @dataclass(frozen=True)
@@ -191,65 +199,39 @@ def build_scorecard(
 ) -> Dict[str, Any]:
     """The flat latency scorecard, keys sorted, values rounded."""
     metrics = dispatcher.metrics
-    card: Dict[str, Any] = {"schema_version": SCORECARD_VERSION}
-    counts = plane.class_counts()
-    totals = {"submitted": 0, "done": 0, "failed": 0, "shed": 0}
-    for cls in SloClass:
-        for key in totals:
-            totals[key] += counts[cls.label][key]
-    for cls in (SloClass.LIVE, SloClass.UPLOAD):
-        bucket = counts[cls.label]
-        hist = plane.queue_wait[cls]
-        prefix = f"class.{cls.label}"
-        card[f"{prefix}.submitted"] = bucket["submitted"]
-        card[f"{prefix}.done"] = bucket["done"]
-        card[f"{prefix}.shed"] = bucket["shed"]
-        card[f"{prefix}.queue_p50"] = round(hist.quantile(0.50), 9)
-        card[f"{prefix}.queue_p99"] = round(hist.quantile(0.99), 9)
-    card["jobs.submitted"] = totals["submitted"]
-    card["jobs.done"] = totals["done"]
-    card["jobs.failed"] = totals["failed"]
-    card["jobs.shed"] = totals["shed"]
-    card["streams.started"] = metrics.streams_started
-    card["streams.completed"] = metrics.streams_completed
-    card["segments.released"] = metrics.segments_released
-    card["segments.manifested"] = metrics.manifests_emitted
     lost = metrics.segments_released - metrics.manifests_emitted
-    card["segments.lost"] = lost
-    card["ttfs.p50"] = round(metrics.ttfs.quantile(0.50), 9)
-    card["ttfs.p90"] = round(metrics.ttfs.quantile(0.90), 9)
-    card["ttfs.p99"] = round(metrics.ttfs.quantile(0.99), 9)
-    card["stall.p50"] = round(metrics.manifest_stall.quantile(0.50), 9)
-    card["stall.p99"] = round(metrics.manifest_stall.quantile(0.99), 9)
-    card["deadline.tracked"] = metrics.deadlines_tracked
-    card["deadline.missed"] = metrics.deadlines_missed
-    card["deadline.miss_rate"] = round(
-        metrics.deadlines_missed / metrics.deadlines_tracked
-        if metrics.deadlines_tracked else 0.0, 6
-    )
-    card["fallback.software"] = cluster.stats.software_fallbacks
-    card["fallback.opportunistic"] = cluster.stats.opportunistic_fallbacks
-    card["cluster.retries"] = cluster.stats.retries
-    card["cluster.hangs"] = cluster.stats.hangs_detected
-    card["cluster.corrupt_caught"] = cluster.stats.corrupt_caught
-    card["cluster.host_evictions"] = cluster.stats.host_evictions
-    card["outages.count"] = plane.outages_started
-    card["conservation.ok"] = bool(
-        plane.ledger.conservation_report()["ok"]
-        and lost == 0
-        and not dispatcher.unfinished()
-    )
+    card: Dict[str, Any] = {
+        "schema_version": SCORECARD_VERSION,
+        **job_totals(plane),
+        **class_fields(plane, _CLASSES, _PER_CLASS_FIELDS),
+        **cluster_fields(cluster.stats, _GLOBAL_FIELDS),
+        "streams.started": metrics.streams_started,
+        "streams.completed": metrics.streams_completed,
+        "segments.released": metrics.segments_released,
+        "segments.manifested": metrics.manifests_emitted,
+        "segments.lost": lost,
+        "ttfs.p50": round(metrics.ttfs.quantile(0.50), 9),
+        "ttfs.p90": round(metrics.ttfs.quantile(0.90), 9),
+        "ttfs.p99": round(metrics.ttfs.quantile(0.99), 9),
+        "stall.p50": round(metrics.manifest_stall.quantile(0.50), 9),
+        "stall.p99": round(metrics.manifest_stall.quantile(0.99), 9),
+        "deadline.tracked": metrics.deadlines_tracked,
+        "deadline.missed": metrics.deadlines_missed,
+        "deadline.miss_rate": round(
+            metrics.deadlines_missed / metrics.deadlines_tracked
+            if metrics.deadlines_tracked else 0.0, 6
+        ),
+        "outages.count": plane.outages_started,
+        "conservation.ok": bool(
+            plane.ledger.conservation_report()["ok"]
+            and lost == 0
+            and not dispatcher.unfinished()
+        ),
+    }
     ladder_card = metrics.scorecard(rungs=rungs)
-    for rung in rungs:
-        card[f"rung.{rung}.queue_p50"] = round(
-            float(ladder_card[f"ladder.rung.{rung}.queue_p50"]), 9
-        )
-        card[f"rung.{rung}.queue_p99"] = round(
-            float(ladder_card[f"ladder.rung.{rung}.queue_p99"]), 9
-        )
-    if tuple(sorted(card)) != scorecard_keys(rungs):
-        raise RuntimeError("scorecard keys drifted from scorecard_keys()")
-    return dict(sorted(card.items()))
+    for key in grouped("rung", rungs, _RUNG_FIELDS):
+        card[key] = round(float(ladder_card[f"ladder.{key}"]), 9)
+    return finish(card, scorecard_keys(rungs))
 
 
 def run_live_ladder(
@@ -283,11 +265,7 @@ def run_live_ladder(
     )
     workload = LadderDemandWorkload(config.demand_config(), seed=seed)
     requests = workload.requests(until=config.horizon_seconds)
-    for request in requests:
-        sim.call_at(
-            request.arrival_time,
-            lambda r=request: plane.submit(r),
-        )
+    schedule_arrivals(sim, plane, requests)
     injector = FaultInjector(
         sim,
         [vcu for host in hosts for vcu in host.vcus],

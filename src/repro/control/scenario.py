@@ -12,7 +12,10 @@ submitted job in exactly one terminal state).
 
 The scorecard's key set is static (:func:`scorecard_keys`), which is
 what the CI smoke job checks: a refactor that silently drops a metric
-fails the key diff before anyone reads a dashboard.
+fails the key diff before anyone reads a dashboard.  :func:`run_day` is
+the one day-run path: the surge-mix disturbance days
+(:mod:`repro.control.surge`) run it over their evented demand with the
+outage off.
 """
 
 from __future__ import annotations
@@ -23,6 +26,15 @@ from typing import Any, Dict, List, Tuple
 from repro.cluster.autoscale import CapacityAutoscaleConfig
 from repro.control.jobs import JobRequest, RetryPolicy, SloClass
 from repro.control.plane import ControlPlane, ModeledExecutor, make_sites
+from repro.control.scorecard import (
+    CLASS_FIELDS,
+    class_fields,
+    finish,
+    grouped,
+    job_totals,
+    key_set,
+    schedule_arrivals,
+)
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedLike
 from repro.workloads.platform import PlatformDayConfig, PlatformDayWorkload
@@ -42,10 +54,6 @@ DEFAULT_SITES: Tuple[Tuple[str, str, Tuple[float, float], int], ...] = (
     ("ap-south", "apac", (160.0, -10.0), 32),
 )
 
-_PER_CLASS_FIELDS = (
-    "submitted", "done", "failed", "shed", "retries",
-    "completion_rate", "shed_rate", "queue_p50", "queue_p90", "queue_p99",
-)
 _GLOBAL_FIELDS = (
     "schema_version",
     "jobs.submitted", "jobs.done", "jobs.failed", "jobs.shed",
@@ -59,10 +67,10 @@ _GLOBAL_FIELDS = (
 
 def scorecard_keys() -> Tuple[str, ...]:
     """The exact, sorted key set every scorecard carries."""
-    keys = list(_GLOBAL_FIELDS)
-    for cls in SloClass:
-        keys.extend(f"class.{cls.label}.{f}" for f in _PER_CLASS_FIELDS)
-    return tuple(sorted(keys))
+    return key_set(
+        _GLOBAL_FIELDS,
+        grouped("class", (cls.label for cls in SloClass), CLASS_FIELDS),
+    )
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,8 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioResult:
-    """Everything a caller might inspect after the day drains."""
+    """Everything a caller might inspect after a platform or surge-mix
+    day drains."""
 
     config: ScenarioConfig
     plane: ControlPlane
@@ -117,53 +126,36 @@ class ScenarioResult:
 
 def build_scorecard(plane: ControlPlane) -> Dict[str, Any]:
     """The flat SLO scorecard, keys sorted, values rounded."""
-    card: Dict[str, Any] = {"schema_version": SCORECARD_VERSION}
-    counts = plane.class_counts()
-    totals = {"submitted": 0, "done": 0, "failed": 0, "shed": 0}
-    for cls in SloClass:
-        bucket = counts[cls.label]
-        submitted = bucket["submitted"]
-        for key in totals:
-            totals[key] += bucket[key]
-        hist = plane.queue_wait[cls]
-        prefix = f"class.{cls.label}"
-        card[f"{prefix}.submitted"] = submitted
-        card[f"{prefix}.done"] = bucket["done"]
-        card[f"{prefix}.failed"] = bucket["failed"]
-        card[f"{prefix}.shed"] = bucket["shed"]
-        card[f"{prefix}.retries"] = bucket["retries"]
-        card[f"{prefix}.completion_rate"] = round(
-            bucket["done"] / submitted if submitted else 0.0, 6
-        )
-        card[f"{prefix}.shed_rate"] = round(
-            bucket["shed"] / submitted if submitted else 0.0, 6
-        )
-        card[f"{prefix}.queue_p50"] = round(hist.quantile(0.50), 9)
-        card[f"{prefix}.queue_p90"] = round(hist.quantile(0.90), 9)
-        card[f"{prefix}.queue_p99"] = round(hist.quantile(0.99), 9)
-    card["jobs.submitted"] = totals["submitted"]
-    card["jobs.done"] = totals["done"]
-    card["jobs.failed"] = totals["failed"]
-    card["jobs.shed"] = totals["shed"]
-    card["failover.routed"] = plane.router.failover_routed
-    card["failover.drained_queued"] = plane.drained_queued
-    card["failover.drained_running"] = plane.drained_running
-    card["spill.routed"] = plane.router.spill_routed
     autoscaler = plane.autoscaler
-    card["autoscale.actions"] = 0 if autoscaler is None else autoscaler.actions
-    card["autoscale.peak_slots"] = plane.peak_capacity
-    card["outages.count"] = plane.outages_started
-    card["dead_letter.count"] = len(plane.dead_letters)
-    card["conservation.ok"] = bool(plane.ledger.conservation_report()["ok"])
-    if tuple(sorted(card)) != scorecard_keys():
-        raise RuntimeError("scorecard keys drifted from scorecard_keys()")
-    return dict(sorted(card.items()))
+    card: Dict[str, Any] = {
+        "schema_version": SCORECARD_VERSION,
+        **job_totals(plane),
+        **class_fields(plane, SloClass, CLASS_FIELDS),
+        "failover.routed": plane.router.failover_routed,
+        "failover.drained_queued": plane.drained_queued,
+        "failover.drained_running": plane.drained_running,
+        "spill.routed": plane.router.spill_routed,
+        "autoscale.actions": 0 if autoscaler is None else autoscaler.actions,
+        "autoscale.peak_slots": plane.peak_capacity,
+        "outages.count": plane.outages_started,
+        "dead_letter.count": len(plane.dead_letters),
+        "conservation.ok": bool(plane.ledger.conservation_report()["ok"]),
+    }
+    return finish(card, scorecard_keys())
 
 
 def run_global_platform_day(
     config: ScenarioConfig, seed: SeedLike = 0
 ) -> ScenarioResult:
-    """Simulate one platform day end to end and score it.
+    """Simulate one platform day end to end and score it."""
+    workload = PlatformDayWorkload(config.workload_config(), seed=seed)
+    return run_day(config, workload, seed)
+
+
+def run_day(
+    config: ScenarioConfig, workload: PlatformDayWorkload, seed: SeedLike
+) -> ScenarioResult:
+    """Run ``config``'s day over ``workload``'s demand and score it.
 
     The simulation runs past ``day_seconds`` until the event queue
     drains -- arrivals stop at the day boundary, but the backlog's tail
@@ -185,13 +177,8 @@ def run_global_platform_day(
         ),
         seed=seed,
     )
-    workload = PlatformDayWorkload(config.workload_config(), seed=seed)
     requests = workload.requests(until=config.day_seconds)
-    for request in requests:
-        sim.call_at(
-            request.arrival_time,
-            lambda r=request: plane.submit(r),
-        )
+    schedule_arrivals(sim, plane, requests)
     if config.outage:
         plane.schedule_outage(
             config.outage_site,

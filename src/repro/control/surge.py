@@ -11,28 +11,30 @@ rather than the infrastructure (no outage):
   live event), exercising strict-priority scheduling and the capacity
   autoscaler under a mix the sites were not sized for.
 
-Both run the full control plane -- admission, retries, spill routing,
-autoscaling -- over :class:`~repro.workloads.events.EventedDayWorkload`
-demand, and score the same per-class SLO fields as the flagship
-``platform-day`` scorecard plus the event-window accounting.  As with
-every catalog scenario the run is a pure function of ``(config, seed)``:
-static :func:`scorecard_keys`, byte-identical scorecards at any
-``--jobs``.
+Both run the platform day itself (:func:`repro.control.scenario.run_day`,
+outage off) over :class:`~repro.workloads.events.EventedDayWorkload`
+demand -- admission, retries, spill routing, autoscaling -- and score
+the platform-day scorecard minus its outage counters, plus the
+event-window accounting.  As with every catalog scenario the run is a
+pure function of ``(config, seed)``: static :func:`scorecard_keys`,
+byte-identical scorecards at any ``--jobs``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
-from repro.cluster.autoscale import CapacityAutoscaleConfig
-from repro.control.jobs import JobRequest, RetryPolicy, SloClass
-from repro.control.plane import ControlPlane, ModeledExecutor, make_sites
-from repro.control.scenario import DEFAULT_SITES
-from repro.sim.engine import Simulator
+from repro.control.scenario import (
+    DEFAULT_SITES,
+    ScenarioConfig,
+    ScenarioResult,
+    run_day,
+)
+from repro.control.scenario import scorecard_keys as day_scorecard_keys
+from repro.control.scorecard import finish, key_set
 from repro.sim.rng import SeedLike
 from repro.workloads.events import EventedDayWorkload, MixShiftSpec, SurgeSpec
-from repro.workloads.platform import PlatformDayConfig
 
 #: Bump when the scorecard's key set or semantics change.
 SCORECARD_VERSION = 1
@@ -40,27 +42,19 @@ SCORECARD_VERSION = 1
 #: The two registered disturbance scenarios.
 SCENARIOS: Tuple[str, ...] = ("popularity-surge", "live-mix-shift")
 
-_PER_CLASS_FIELDS = (
-    "submitted", "done", "failed", "shed", "retries",
-    "completion_rate", "shed_rate", "queue_p50", "queue_p90", "queue_p99",
-)
-_GLOBAL_FIELDS = (
-    "schema_version", "scenario",
-    "event.start", "event.end", "event.jobs_in_window",
-    "jobs.submitted", "jobs.done", "jobs.failed", "jobs.shed",
-    "failover.routed", "spill.routed",
-    "autoscale.actions", "autoscale.peak_slots",
-    "dead_letter.count",
-    "conservation.ok",
+_EVENT_FIELDS = ("scenario", "event.start", "event.end", "event.jobs_in_window")
+#: Platform-day keys a disturbance day leaves out: it has no outage.
+_OUTAGE_FIELDS = (
+    "failover.drained_queued", "failover.drained_running", "outages.count",
 )
 
 
 def scorecard_keys() -> Tuple[str, ...]:
     """The exact, sorted key set every disturbance scorecard carries."""
-    keys = list(_GLOBAL_FIELDS)
-    for cls in SloClass:
-        keys.extend(f"class.{cls.label}.{f}" for f in _PER_CLASS_FIELDS)
-    return tuple(sorted(keys))
+    return key_set(
+        _EVENT_FIELDS,
+        (k for k in day_scorecard_keys() if k not in _OUTAGE_FIELDS),
+    )
 
 
 @dataclass(frozen=True)
@@ -86,8 +80,19 @@ class SurgeMixConfig:
         if self.day_seconds <= 0:
             raise ValueError("day_seconds must be positive")
 
+    def day_config(self) -> ScenarioConfig:
+        """The platform day this disturbance runs on: no outage."""
+        return ScenarioConfig(
+            day_seconds=self.day_seconds,
+            outage=False,
+            failure_rate=self.failure_rate,
+            autoscale_interval_seconds=self.autoscale_interval_seconds,
+            max_slots_factor=self.max_slots_factor,
+            site_specs=self.site_specs,
+        )
+
     def workload(self, seed: SeedLike) -> EventedDayWorkload:
-        config = PlatformDayConfig(day_seconds=self.day_seconds)
+        config = self.day_config().workload_config()
         if self.scenario == "popularity-surge":
             return EventedDayWorkload(config, seed=seed, surge=self.surge)
         return EventedDayWorkload(config, seed=seed, mix_shift=self.mix_shift)
@@ -103,107 +108,35 @@ class SurgeMixConfig:
         return (self.mix_shift.start_frac * self.day_seconds, self.day_seconds)
 
 
-@dataclass
-class SurgeMixResult:
-    """Everything a caller might inspect after the day drains."""
-
-    config: SurgeMixConfig
-    plane: ControlPlane
-    requests: List[JobRequest]
-    end_time: float
-    scorecard: Dict[str, Any]
-
-
-def build_scorecard(
-    plane: ControlPlane,
-    config: SurgeMixConfig,
-    jobs_in_window: int,
-) -> Dict[str, Any]:
-    """The flat disturbance scorecard, keys sorted, values rounded."""
-    card: Dict[str, Any] = {"schema_version": SCORECARD_VERSION}
-    counts = plane.class_counts()
-    totals = {"submitted": 0, "done": 0, "failed": 0, "shed": 0}
-    for cls in SloClass:
-        bucket = counts[cls.label]
-        submitted = bucket["submitted"]
-        for key in totals:
-            totals[key] += bucket[key]
-        hist = plane.queue_wait[cls]
-        prefix = f"class.{cls.label}"
-        card[f"{prefix}.submitted"] = submitted
-        card[f"{prefix}.done"] = bucket["done"]
-        card[f"{prefix}.failed"] = bucket["failed"]
-        card[f"{prefix}.shed"] = bucket["shed"]
-        card[f"{prefix}.retries"] = bucket["retries"]
-        card[f"{prefix}.completion_rate"] = round(
-            bucket["done"] / submitted if submitted else 0.0, 6
-        )
-        card[f"{prefix}.shed_rate"] = round(
-            bucket["shed"] / submitted if submitted else 0.0, 6
-        )
-        card[f"{prefix}.queue_p50"] = round(hist.quantile(0.50), 9)
-        card[f"{prefix}.queue_p90"] = round(hist.quantile(0.90), 9)
-        card[f"{prefix}.queue_p99"] = round(hist.quantile(0.99), 9)
+def build_scorecard(day: ScenarioResult, config: SurgeMixConfig) -> Dict[str, Any]:
+    """The platform-day scorecard minus its outage counters, plus the
+    event window and the arrivals that fell in it."""
     start, end = config.event_window()
-    card["scenario"] = config.scenario
-    card["event.start"] = round(start, 9)
-    card["event.end"] = round(end, 9)
-    card["event.jobs_in_window"] = jobs_in_window
-    card["jobs.submitted"] = totals["submitted"]
-    card["jobs.done"] = totals["done"]
-    card["jobs.failed"] = totals["failed"]
-    card["jobs.shed"] = totals["shed"]
-    card["failover.routed"] = plane.router.failover_routed
-    card["spill.routed"] = plane.router.spill_routed
-    autoscaler = plane.autoscaler
-    card["autoscale.actions"] = 0 if autoscaler is None else autoscaler.actions
-    card["autoscale.peak_slots"] = plane.peak_capacity
-    card["dead_letter.count"] = len(plane.dead_letters)
-    card["conservation.ok"] = bool(plane.ledger.conservation_report()["ok"])
-    if tuple(sorted(card)) != scorecard_keys():
-        raise RuntimeError("scorecard keys drifted from scorecard_keys()")
-    return dict(sorted(card.items()))
+    card = {
+        key: value for key, value in day.scorecard.items()
+        if key not in _OUTAGE_FIELDS
+    }
+    card.update({
+        "schema_version": SCORECARD_VERSION,
+        "scenario": config.scenario,
+        "event.start": round(start, 9),
+        "event.end": round(end, 9),
+        "event.jobs_in_window": sum(
+            1 for request in day.requests
+            if start <= request.arrival_time < end
+        ),
+    })
+    return finish(card, scorecard_keys())
 
 
 def run_surge_mix(
     config: SurgeMixConfig, seed: SeedLike = 0
-) -> SurgeMixResult:
+) -> ScenarioResult:
     """Simulate one disturbance day end to end and score it.
 
-    Arrivals stop at the day boundary; the simulation drains the
-    backlog past it so every job is terminal at return.
+    The result's ``config`` is the platform day the disturbance ran on
+    (:meth:`SurgeMixConfig.day_config`).
     """
-    sim = Simulator()
-    sites = make_sites(
-        config.site_specs, max_slots_factor=config.max_slots_factor
-    )
-    plane = ControlPlane(
-        sim,
-        sites,
-        retry=RetryPolicy(),
-        autoscale=CapacityAutoscaleConfig(),
-        autoscale_interval_seconds=config.autoscale_interval_seconds,
-        executor=ModeledExecutor(
-            sim, seed=seed, failure_rate=config.failure_rate
-        ),
-        seed=seed,
-    )
-    requests = config.workload(seed).requests(until=config.day_seconds)
-    for request in requests:
-        sim.call_at(
-            request.arrival_time,
-            lambda r=request: plane.submit(r),
-        )
-    plane.start_autoscaler(until=config.day_seconds)
-    sim.run()
-    start, end = config.event_window()
-    jobs_in_window = sum(
-        1 for request in requests if start <= request.arrival_time < end
-    )
-    return SurgeMixResult(
-        config=config,
-        plane=plane,
-        requests=requests,
-        end_time=sim.now,
-        scorecard=build_scorecard(plane, config, jobs_in_window),
-    )
+    day = run_day(config.day_config(), config.workload(seed), seed)
+    day.scorecard = build_scorecard(day, config)
+    return day

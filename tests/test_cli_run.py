@@ -11,8 +11,9 @@ import json
 
 import pytest
 
+import repro.runner
 from repro import obs
-from repro.cli import main
+from repro.cli import build_parser, main
 
 # table2 is the cheapest registered experiment (one analytic unit), so
 # the CLI round-trips stay fast enough for tier-1.
@@ -23,6 +24,24 @@ EXPERIMENT = "table2-host-resources"
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     return tmp_path
+
+
+def default_out() -> str:
+    """The manifest path ``run`` uses when no ``--out`` is given."""
+    return build_parser().parse_args(["run"]).out
+
+
+@pytest.fixture
+def only_cheap_experiment(monkeypatch):
+    """Run just :data:`EXPERIMENT` whatever the CLI selected, so a full
+    or ``--smoke`` sweep stays cheap while the handler still sees the
+    selection it was given."""
+    real = repro.runner.run_experiments
+
+    def run(registry, names, **kwargs):
+        return real(registry, names=[EXPERIMENT], **kwargs)
+
+    monkeypatch.setattr(repro.runner, "run_experiments", run)
 
 
 class TestRunSubcommand:
@@ -67,7 +86,31 @@ class TestRunSubcommand:
         assert main(["run", "no-such-experiment"]) == 2
         err = capsys.readouterr().err
         assert "unknown experiment" in err
-        assert not (workdir / "BENCH_PR5.json").exists()
+        assert not (workdir / default_out()).exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--only", EXPERIMENT],
+        ["--smoke"],
+    ], ids=["only", "smoke"])
+    def test_partial_run_leaves_default_manifest_alone(
+        self, workdir, capsys, only_cheap_experiment, argv
+    ):
+        assert default_out() == "BENCH_PR10.json"
+        sentinel = workdir / default_out()
+        sentinel.write_bytes(b'{"full": "sweep"}\n')
+        assert main(["run", "--no-cache", *argv]) == 0
+        captured = capsys.readouterr()
+        assert sentinel.read_bytes() == b'{"full": "sweep"}\n'
+        assert "## " in captured.out          # the manifest still prints
+        assert f"not written: {default_out()}" in captured.err
+
+    def test_full_sweep_writes_default_manifest(
+        self, workdir, capsys, only_cheap_experiment
+    ):
+        assert main(["run", "--no-cache"]) == 0
+        manifest = json.loads((workdir / default_out()).read_text())
+        assert EXPERIMENT in manifest["experiments"]
+        assert f"wrote {default_out()}" in capsys.readouterr().err
 
 
 class TestPerfSubcommand:
